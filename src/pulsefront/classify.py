@@ -11,7 +11,7 @@ thresholds come in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,9 +80,16 @@ class DetectionCriteria:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """Located threshold, its final bracket and every probe in order.
+
+    ``brackets[i]`` is the bracket ``history[i]`` was probed in: the input
+    bracket for the two end probes, then the bisection bracket of the step.
+    """
+
     value: float
     bracket: tuple[float, float]
     history: tuple[tuple[float, Verdict], ...]
+    brackets: tuple[tuple[float, float], ...]
 
 
 def classify_analytic(params: ModelParams) -> Classification:
@@ -129,22 +136,12 @@ def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-def _spread_trigger_width(params: ModelParams, criteria: DetectionCriteria) -> float:
-    cap = criteria.spread_width_cap if criteria.spread_width_cap is not None else 25.0 * params.h0
-    lam_inf = lambda_infinity(params).lam
-    lam_h0 = lambda_at_h0(params).lam
-    if lam_inf < 0 < lam_h0:
-        return critical_length(params)
-    return cap
-
-
 def detect_outcome(
     series: TimeSeries, params: ModelParams, criteria: DetectionCriteria | None = None
 ) -> Classification:
     """Classify a completed run; Undecided is a valid outcome (extend t_end)."""
     crit = criteria or DetectionCriteria()
-    lam_inf = lambda_infinity(params).lam
-    lam_h0 = lambda_at_h0(params).lam
+    analytic = classify_analytic(params)
 
     mass_end = float(series.sup_u[-1] + series.sup_v[-1])
     width = series.width
@@ -153,7 +150,12 @@ def detect_outcome(
     idx = int(np.searchsorted(series.t, window_start))
     trailing_growth = float(width[-1] - width[idx])
 
-    trigger = _spread_trigger_width(params, crit)
+    if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
+        trigger = critical_length(params)
+    elif crit.spread_width_cap is not None:
+        trigger = crit.spread_width_cap
+    else:
+        trigger = 25.0 * params.h0
     evidence = {
         "t_end": t1,
         "final_mass": mass_end,
@@ -170,9 +172,7 @@ def detect_outcome(
         verdict = Verdict.SPREADING
     else:
         verdict = Verdict.UNDECIDED
-    return Classification(
-        verdict=verdict, lambda_infinity=lam_inf, lambda_h0=lam_h0, evidence=evidence
-    )
+    return replace(analytic, verdict=verdict, evidence=evidence)
 
 
 def _probe(
@@ -205,23 +205,42 @@ def _bisect_threshold(
     if not tol > 0:
         raise PreconditionError("tol must be positive")
     history: list[tuple[float, Verdict]] = []
-    v_lo = evaluate(lo)
-    history.append((lo, v_lo))
+    brackets: list[tuple[float, float]] = []
+
+    def probe(value: float) -> Verdict:
+        verdict = evaluate(value)
+        history.append((value, verdict))
+        brackets.append((lo, hi))
+        return verdict
+
+    v_lo = probe(lo)
     if v_lo is not Verdict.VANISHING:
         raise PreconditionError(f"{what} bracket low end must vanish, got {v_lo} at {lo}")
-    v_hi = evaluate(hi)
-    history.append((hi, v_hi))
+    v_hi = probe(hi)
     if v_hi is not Verdict.SPREADING:
         raise PreconditionError(f"{what} bracket high end must spread, got {v_hi} at {hi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        v_mid = evaluate(mid)
-        history.append((mid, v_mid))
-        if v_mid is Verdict.SPREADING:
+        if probe(mid) is Verdict.SPREADING:
             hi = mid
         else:
             lo = mid
-    return ThresholdResult(value=0.5 * (lo + hi), bracket=(lo, hi), history=tuple(history))
+    return ThresholdResult(
+        value=0.5 * (lo + hi),
+        bracket=(lo, hi),
+        history=tuple(history),
+        brackets=tuple(brackets),
+    )
+
+
+def _search_horizon(params: ModelParams, t_end: float | None, what: str) -> float:
+    """Check the regime a threshold search needs and return its probe horizon."""
+    base = classify_analytic(params)
+    if base.verdict is not Verdict.THRESHOLD_DEPENDENT:
+        raise PreconditionError(
+            f"{what} threshold search needs the threshold-dependent regime, got {base.verdict}"
+        )
+    return 40.0 * params.tau if t_end is None else t_end
 
 
 def find_mu_threshold(
@@ -238,12 +257,7 @@ def find_mu_threshold(
     Valid only in the threshold-dependent regime; the bracket ends must
     straddle the outcome (Vanishing low, Spreading high).
     """
-    base = classify_analytic(params)
-    if base.verdict is not Verdict.THRESHOLD_DEPENDENT:
-        raise PreconditionError(
-            f"mu2 threshold search needs the threshold-dependent regime, got {base.verdict}"
-        )
-    horizon = 40.0 * params.tau if t_end is None else t_end
+    horizon = _search_horizon(params, t_end, "mu2")
 
     def evaluate(mu2: float) -> Verdict:
         p = params.with_(mu2=mu2)
@@ -271,12 +285,7 @@ def find_kappa_threshold(
             "kappa threshold search requires a linear (or identity) impulse; "
             f"got {params.impulse.kind}"
         )
-    base = classify_analytic(params)
-    if base.verdict is not Verdict.THRESHOLD_DEPENDENT:
-        raise PreconditionError(
-            f"kappa threshold search needs the threshold-dependent regime, got {base.verdict}"
-        )
-    horizon = 40.0 * params.tau if t_end is None else t_end
+    horizon = _search_horizon(params, t_end, "kappa")
 
     def evaluate(kappa: float) -> Verdict:
         scaled = upsilon.scaled(kappa, 1.0)

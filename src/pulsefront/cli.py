@@ -11,14 +11,13 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import classify as cls
 from . import eigen
 from .config import RunConfig, parse_config
 from .errors import ConfigurationError, NumericalError, PreconditionError
-from .model import LinearImpulse, ModelParams, validate_assumptions
+from .model import LinearImpulse, validate_assumptions
 from .output import (
     atomic_write,
     fmt,
@@ -65,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--config", required=True)
     swp.add_argument("--axis", required=True)
     swp.add_argument("--values", required=True, help="comma-separated numbers")
-    swp.add_argument("--jobs", type=int, default=1)
 
     rep = sub.add_parser("reproduce", help="run a reference scenario and write its report")
     rep.add_argument("figure", choices=FIGURES)
@@ -142,33 +140,18 @@ def _cmd_classify(args) -> int:
 
 def _cmd_threshold(args) -> int:
     config = parse_config(args.config)
-    if args.param == "mu2":
-        result = cls.find_mu_threshold(
-            config.model,
-            config.initial_data(),
-            config.solver,
-            (args.lo, args.hi),
-            args.tol,
-            t_end=config.t_end,
-        )
-    else:
-        result = cls.find_kappa_threshold(
-            config.model,
-            config.initial_data(),
-            config.solver,
-            (args.lo, args.hi),
-            args.tol,
-            t_end=config.t_end,
-        )
+    search = cls.find_mu_threshold if args.param == "mu2" else cls.find_kappa_threshold
+    result = search(
+        config.model,
+        config.initial_data(),
+        config.solver,
+        (args.lo, args.hi),
+        args.tol,
+        t_end=config.t_end,
+    )
     lines = ["step,lo,hi,probe,verdict"]
-    lo, hi = args.lo, args.hi
-    for i, (probe_value, verdict) in enumerate(result.history):
+    for i, ((probe_value, verdict), (lo, hi)) in enumerate(zip(result.history, result.brackets)):
         lines.append(f"{i},{fmt(lo)},{fmt(hi)},{fmt(probe_value)},{verdict}")
-        if i >= 1:  # endpoints first, then bisection updates the bracket
-            if verdict is cls.Verdict.SPREADING:
-                hi = probe_value
-            else:
-                lo = probe_value
     lines.append(f"result,{fmt(result.bracket[0])},{fmt(result.bracket[1])},{fmt(result.value)},")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -204,21 +187,9 @@ def _cmd_sweep(args) -> int:
         )
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
-    if not values:
-        sys.stdout.write(header + "\n")
-        return 0
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(config, args.axis, v), values))
-    else:
-        rows = [_sweep_row(config, args.axis, v) for v in values]
+    rows = [_sweep_row(config, args.axis, v) for v in values]
     sys.stdout.write("\n".join([header] + rows) + "\n")
     return 0
-
-
-def _eigen_pair_dict(model: ModelParams, length: float) -> dict:
-    report = eigen.principal_eigenvalue_monodromy(model, length)
-    return report.to_json_dict()
 
 
 def _cmd_reproduce(args) -> int:
@@ -235,8 +206,8 @@ def _cmd_reproduce(args) -> int:
     write_json(out_dir / "verdict.json", outcome.to_json_dict() | {"figure": args.figure})
 
     eigen_report = {
-        "at_h0": _eigen_pair_dict(config.model, 2.0 * config.model.h0),
-        "at_infinity": _eigen_pair_dict(config.model, math.inf),
+        name: eigen.principal_eigenvalue_monodromy(config.model, length).to_json_dict()
+        for name, length in (("at_h0", 2.0 * config.model.h0), ("at_infinity", math.inf))
     }
     if ref.reference_lambda is not None:
         width, reported = ref.reference_lambda

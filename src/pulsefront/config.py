@@ -12,6 +12,7 @@ hard failures reject the configuration with the assumption label.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,11 +78,31 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(obj: dict, key: str, where: str) -> float:
+def _section(obj: dict, key: str, where: str) -> dict:
     val = _require(obj, key, where)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigurationError(f"field '{key}' in {where} must be a number, got {val!r}")
-    return float(val)
+    if not isinstance(val, dict):
+        raise ConfigurationError(f"'{key}' in {where} must be a JSON object, got {val!r}")
+    return val
+
+
+def _finite(val, what: str) -> float:
+    try:
+        if not isinstance(val, bool) and math.isfinite(val):
+            return float(val)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        pass
+    raise ConfigurationError(f"{what} must be a finite number, got {val!r}")
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    return _finite(_require(obj, key, where), f"field '{key}' in {where}")
+
+
+def _integer(obj: dict, key: str, where: str) -> int:
+    val = _number(obj, key, where)
+    if not val.is_integer():
+        raise ConfigurationError(f"field '{key}' in {where} must be an integer, got {obj[key]!r}")
+    return int(val)
 
 
 def _growth(obj: dict):
@@ -108,15 +129,15 @@ def _impulse(obj: dict):
 
 def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     base_dir = base_dir or Path(".")
-    model_doc = _require(doc, "model", "configuration")
+    model_doc = _section(doc, "model", "configuration")
     kwargs = {name: _number(model_doc, name, "model") for name in MODEL_FIELDS}
     params = ModelParams(
-        growth=_growth(_require(model_doc, "growth", "model")),
-        impulse=_impulse(_require(model_doc, "impulse", "model")),
+        growth=_growth(_section(model_doc, "growth", "model")),
+        impulse=_impulse(_section(model_doc, "impulse", "model")),
         **kwargs,
     )
 
-    init_doc = _require(doc, "init", "configuration")
+    init_doc = _section(doc, "init", "configuration")
     kind = _require(init_doc, "kind", "init")
     if kind == "cos-quarter":
         spec = InitSpec(
@@ -129,22 +150,31 @@ def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     else:
         raise ConfigurationError(f"unknown init kind {kind!r}; expected 'cos-quarter' or 'tabulated'")
 
-    solver_doc = doc.get("solver", {})
-    solver = SolverConfig(
-        n=int(solver_doc.get("n", 512)),
-        steps_per_period=int(solver_doc.get("steps_per_period", 2000)),
-        front_update=str(solver_doc.get("front_update", "heun")),
-        negative_clip_tol=float(solver_doc.get("negative_clip_tol", 1e-12)),
-    )
+    solver_doc = _section(doc, "solver", "configuration") if "solver" in doc else {}
+    solver_kwargs = {
+        key: _integer(solver_doc, key, "solver")
+        for key in ("n", "steps_per_period")
+        if key in solver_doc
+    }
+    if "front_update" in solver_doc:
+        solver_kwargs["front_update"] = str(solver_doc["front_update"])
+    if "negative_clip_tol" in solver_doc:
+        solver_kwargs["negative_clip_tol"] = _number(solver_doc, "negative_clip_tol", "solver")
+    solver = SolverConfig(**solver_kwargs)
 
-    run_doc = _require(doc, "run", "configuration")
+    run_doc = _section(doc, "run", "configuration")
     t_end = _number(run_doc, "t_end", "run")
     if not t_end > 0:
         raise ConfigurationError(f"run.t_end must be positive, got {t_end}")
-    snapshot_times = tuple(float(s) for s in run_doc.get("snapshot_times", ()))
+    snapshot_doc = run_doc.get("snapshot_times", [])
+    if not isinstance(snapshot_doc, list):
+        raise ConfigurationError(f"run.snapshot_times must be a list, got {snapshot_doc!r}")
+    snapshot_times = tuple(_finite(s, "each of run.snapshot_times") for s in snapshot_doc)
     out_dir = str(run_doc.get("out_dir", "out"))
 
     periods = t_end / params.tau
+    if not math.isfinite(periods):
+        raise ConfigurationError(f"run.t_end={t_end} spans too many periods of tau={params.tau}")
     if abs(periods - round(periods)) > 1e-9:
         warnings.warn(
             f"t_end={t_end} is not a multiple of tau={params.tau}; outcome detection "
@@ -180,6 +210,8 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(
             f"configuration parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond Python's int-string limit
+        raise ConfigurationError(f"configuration parse error in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"configuration root in {path} must be a JSON object")
     return parse_config_dict(doc, base_dir=path.parent)

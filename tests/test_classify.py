@@ -6,6 +6,7 @@ import pytest
 from pulsefront.classify import (
     DetectionCriteria,
     Verdict,
+    _bisect_threshold,
     classify_analytic,
     critical_length,
     detect_outcome,
@@ -105,6 +106,24 @@ def test_detect_verdicts_are_exclusive_on_prefixes(params_benchmark):
             params_benchmark,
         )
         assert out.verdict in (Verdict.SPREADING, Verdict.UNDECIDED)
+
+
+def test_bisect_threshold_records_nested_brackets():
+    def evaluate(x):
+        return Verdict.VANISHING if x < 3.7 else Verdict.SPREADING
+
+    result = _bisect_threshold(evaluate, 1.0, 10.0, 0.05, "x")
+    assert len(result.brackets) == len(result.history)
+    for (probe, verdict), (lo, hi) in zip(result.history, result.brackets):
+        assert lo <= probe <= hi
+        assert verdict is evaluate(probe)
+    for (lo0, hi0), (lo1, hi1) in zip(result.brackets, result.brackets[1:]):
+        assert lo0 <= lo1 and hi1 <= hi0
+    lo, hi = result.bracket
+    assert hi - lo <= 0.05 and lo <= 3.7 <= hi
+    assert result.brackets[-1][0] <= lo and hi <= result.brackets[-1][1]
+    verdicts = dict(result.history)
+    assert verdicts[1.0] is Verdict.VANISHING and verdicts[10.0] is Verdict.SPREADING
 
 
 def test_mu_threshold_preconditions(params_disinfected, init_cos):

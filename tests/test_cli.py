@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsefront.cli import main
 from pulsefront.config import config_to_json_dict, parse_config, parse_config_dict
@@ -95,6 +101,76 @@ def test_config_round_trip():
     assert again.t_end == cfg.t_end and again.snapshot_times == cfg.snapshot_times
 
 
+MALFORMED_FIELDS = [
+    (("model", "d1"), math.inf),
+    (("run", "t_end"), math.inf),
+    (("solver", "n"), "abc"),
+    (("solver", "negative_clip_tol"), "tiny"),
+    (("run", "snapshot_times"), ["x"]),
+    (("solver",), [1]),
+    (("solver", "steps_per_period"), 200.9),
+    (("model", "tau"), 5e-324),  # t_end / tau overflows
+]
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(("path", "value"), MALFORMED_FIELDS)
+def test_cli_validate_rejects_malformed_field(tmp_path, capsys, path, value):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(_mutated(small_config_dict(), path, value)))
+    assert main(["validate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+
+
+def test_cli_validate_rejects_oversized_integer_literal(tmp_path, capsys):
+    text = json.dumps(small_config_dict()).replace('"d1": 0.1', '"d1": ' + "1" * 5000)
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    assert main(["validate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def _field_paths(doc, prefix=()):
+    for key, val in doc.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _field_paths(val, prefix + (key,))
+
+
+_VALID_DOC = small_config_dict(impulse={"kind": "saturating", "c": 0.5, "b": 10.0})
+_ODD_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=1),
+    st.none(),
+    st.booleans(),
+    st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()),
+    st.sampled_from([10**400, -(10**400), 10**20]),
+)
+
+
+@given(st.sampled_from(list(_field_paths(_VALID_DOC))), _ODD_VALUES)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_validate_exit_contract(tmp_path_factory, path, value):
+    config = tmp_path_factory.getbasetemp() / "mutated.json"
+    config.write_text(json.dumps(_mutated(_VALID_DOC, path, value)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["validate", "--config", str(config)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_cli_eigen_json(config_path, capsys):
     assert main(["eigen", "--config", str(config_path), "--interval", "inf"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -179,10 +255,21 @@ def test_cli_sweep_mu2_values(tmp_path, capsys):
     verdicts = [line.split(",")[3] for line in lines[1:]]
     assert verdicts == ["Vanishing", "Spreading"]
 
-    # concurrent evaluation preserves row order and bytes
-    assert main(["sweep", "--config", str(path), "--axis", "mu2", "--values", "1,10",
-                 "--jobs", "2"]) == 0
-    assert capsys.readouterr().out.splitlines() == lines
+
+def test_cli_sweep_rho_values(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(small_config_dict(t_end=10.0, n=32, steps=500)))
+    assert main(["eigen", "--config", str(path), "--interval", "inf"]) == 0
+    identity_lam = json.loads(capsys.readouterr().out)["lambda"]
+
+    assert main(["sweep", "--config", str(path), "--axis", "rho",
+                 "--values", "0.5,1,0.2"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.5, 1.0, 0.2]
+    lam = {float(r[0]): float(r[1]) for r in rows}
+    assert lam[1.0] == pytest.approx(identity_lam, rel=1e-12, abs=1e-15)
+    # stronger disinfection (smaller rho) pushes the whole-line eigenvalue up
+    assert lam[0.2] > lam[0.5] > lam[1.0]
 
 
 def test_cli_threshold_mu2_csv(tmp_path, capsys):
