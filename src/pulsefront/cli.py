@@ -84,6 +84,19 @@ def _parse_interval(text: str) -> float:
     return length
 
 
+def _parse_values(text: str) -> list[float]:
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            value = float(item)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigurationError(f"--values must be finite numbers, got {item!r}")
+        values.append(value)
+    return values
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -185,7 +198,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigurationError(
             f"unknown sweep axis {args.axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
         )
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    values = _parse_values(args.values)
     header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
     rows = [_sweep_row(config, args.axis, v) for v in values]
     sys.stdout.write("\n".join([header] + rows) + "\n")

@@ -307,6 +307,8 @@ class InitialData:
             raise ConfigurationError("tabulated x must be strictly increasing with >= 2 samples")
         if u.shape != x.shape or v.shape != x.shape:
             raise ConfigurationError("tabulated u, v must match the x sample count")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise ConfigurationError("tabulated x, u, v must be finite (no NaN or infinity)")
         return cls(
             u0=lambda q: np.interp(np.asarray(q, dtype=float), x, u),
             v0=lambda q: np.interp(np.asarray(q, dtype=float), x, v),

@@ -162,6 +162,20 @@ def _zero_orbit_homog(params: ModelParams, residual: float, periods: int) -> Per
     )
 
 
+def _imex_period(
+    params: ModelParams, u, v, length: float, n: int, steps: int, sample_every: int = 0
+):
+    """Frozen-interval period map: reset, then IMEX over (0, tau]; optionally samples from 0+."""
+    u = params.impulse(u)
+    dt = params.tau / steps
+    samples = [(0.0, u, v)] if sample_every else None
+    for i in range(steps):
+        u, v = imex_density_step(u, v, params, dt, 1.0 / n, length)
+        if samples is not None and (i + 1) % sample_every == 0:
+            samples.append(((i + 1) * dt, u, v))
+    return u, v, samples
+
+
 def fixed_domain_periodic(
     params: ModelParams,
     interval_length: float,
@@ -184,25 +198,16 @@ def fixed_domain_periodic(
     lam = principal_eigenvalue_monodromy(params, interval_length).lam
     c2, c3 = density_bounds(params)
 
-    dxi = 1.0 / n
-    dt = params.tau / steps_per_period
     u = np.full(n + 1, c2)
     v = np.full(n + 1, c3)
     u[0] = u[-1] = 0.0
     v[0] = v[-1] = 0.0
 
-    def period(u0, v0):
-        uu = params.impulse(u0)
-        vv = v0
-        for _ in range(steps_per_period):
-            uu, vv = imex_density_step(uu, vv, params, dt, dxi, interval_length)
-        return uu, vv
-
     is_positive = None
     residual = math.inf
     periods = 0
     for periods in range(1, max_periods + 1):
-        un, vn = period(u, v)
+        un, vn, _ = _imex_period(params, u, v, interval_length, n, steps_per_period)
         residual = max(float(np.max(np.abs(un - u))), float(np.max(np.abs(vn - v))))
         sup = max(float(np.max(un)), float(np.max(vn)))
         u, v = un, vn
@@ -236,17 +241,10 @@ def fixed_domain_periodic(
         )
 
     # sample the converged orbit over one period
-    sample_every = max(1, steps_per_period // 8)
-    ts = [0.0]
-    us = [params.impulse(u)]
-    vs = [v.copy()]
-    uu, vv = us[0].copy(), v.copy()
-    for i in range(steps_per_period):
-        uu, vv = imex_density_step(uu, vv, params, dt, dxi, interval_length)
-        if (i + 1) % sample_every == 0:
-            ts.append((i + 1) * dt)
-            us.append(uu.copy())
-            vs.append(vv.copy())
+    _, _, path = _imex_period(
+        params, u, v, interval_length, n, steps_per_period, max(1, steps_per_period // 8)
+    )
+    ts, us, vs = zip(*path)
     return PeriodicOrbit(
         t=np.array(ts), U=np.stack(us), V=np.stack(vs), residual=residual,
         is_positive=True, periods=periods, x=x, start_pre_reset=start,

@@ -9,9 +9,9 @@ xi = (x - g)/(h - g), which turns front motion into an advection term:
 Front speeds come first each step from one-sided second-order gradients of
 the current profiles (the accuracy bottleneck of the whole scheme), the
 fronts advance by Euler or Heun, and the densities then take an IMEX step:
-diffusion implicit via a tridiagonal solve, advection and reactions explicit.
-Disinfection resets u <- G(u) pointwise at every multiple of tau; the k = 0
-reset at t = 0+ is applied as well.
+diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv), advection
+and reactions explicit.  Disinfection resets u <- G(u) pointwise at every
+multiple of tau; the k = 0 reset at t = 0+ is applied as well.
 
 Runs are deterministic: identical inputs give bit-identical outputs.
 """
@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import InitialData, ModelParams, density_bounds
@@ -152,39 +153,47 @@ def imex_density_step(
     """One IMEX update on the reference grid; also the frozen-front core.
 
     ``vel_g``/``vel_h`` are the discrete mesh velocities over the step; pass
-    zeros for a fixed interval.  Negative undershoot within ``clip_tol``
-    times the species sup-norm is clipped to zero, anything larger aborts.
+    zeros for a fixed interval.  Undershoot within ``clip_tol`` times the species
+    sup-norm is clipped to zero; larger undershoot or a non-finite value aborts.
     """
     n = u.size - 1
-    xi_int = np.arange(1, n) * dxi
-    adv = (vel_g + xi_int * (vel_h - vel_g)) / width_new
+    adv = (dt / (2.0 * dxi * width_new)) * (vel_g + _interior_xi(n, dxi) * (vel_h - vel_g))
+    diffusion = dt / (width_new * width_new * dxi * dxi)
 
-    def advance(w: np.ndarray, d: float, reaction: np.ndarray) -> np.ndarray:
-        rhs = w[1:-1] + dt * (adv * (w[2:] - w[:-2]) / (2.0 * dxi) + reaction)
-        r = dt * d / (width_new * width_new * dxi * dxi)
-        ab = np.empty((3, n - 1))
-        ab[0, :] = -r
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[2, :] = -r
-        interior = solve_banded((1, 1), ab, rhs)
+    def advance(w: np.ndarray, d: float, reaction_dt: np.ndarray) -> np.ndarray:
+        rhs = w[1:-1] + adv * (w[2:] - w[:-2]) + reaction_dt
+        r = diffusion * d
+        diag, off = np.full(n - 1, 1.0 + 2.0 * r), np.full(n - 2, -r)  # dptsv overwrites both
+        _, _, interior, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve failed (dptsv info={info}, r={r:.6g})")
         out = np.zeros_like(w)
         out[1:-1] = interior
         return out
 
-    u_new = advance(u, params.d1, -params.a11 * u[1:-1] + params.a12 * v[1:-1])
-    v_new = advance(v, params.d2, -params.a22 * v[1:-1] + params.growth(u[1:-1]))
+    u_new = advance(u, params.d1, (dt * params.a12) * v[1:-1] - (dt * params.a11) * u[1:-1])
+    v_new = advance(v, params.d2, dt * (params.growth(u[1:-1]) - params.a22 * v[1:-1]))
 
     for w_new, w_old, name in ((u_new, u, "u"), (v_new, v, "v")):
-        scale = float(np.max(w_old))
-        low = float(np.min(w_new))
+        low = w_new.min()
+        if not (math.isfinite(low) and math.isfinite(w_new.max())):
+            raise NumericalError(f"{name} is no longer finite; scheme failure")
         if low < 0.0:
+            scale = w_old.max()
             if low < -clip_tol * scale:
                 raise NumericalError(
                     f"{name} undershoot {low:.3e} exceeds the clip tolerance "
                     f"({clip_tol:.1e} * sup = {clip_tol * scale:.3e}); scheme failure"
                 )
-            np.clip(w_new, 0.0, None, out=w_new)
+            np.maximum(w_new, 0.0, out=w_new)
     return u_new, v_new
+
+
+@lru_cache(maxsize=8)
+def _interior_xi(n: int, dxi: float) -> np.ndarray:
+    xi = np.arange(1, n) * dxi  # interior nodes, shared by every step
+    xi.flags.writeable = False
+    return xi
 
 
 def _stability_guard(params: ModelParams, cfg: SolverConfig, dt: float, vmax: float, width: float):
@@ -207,19 +216,18 @@ def transform_step(state: SimState, params: ModelParams, cfg: SolverConfig, dt: 
     vg0, vh0 = _front_velocities(state.u, state.v, w, dxi, params.mu1, params.mu2)
     _stability_guard(params, cfg, dt, max(-vg0, vh0), w)
 
-    if cfg.front_update == "euler":
-        g1, h1 = state.g + dt * vg0, state.h + dt * vh0
-    else:
-        gp, hp = state.g + dt * vg0, state.h + dt * vh0
+    g1, h1 = state.g + dt * vg0, state.h + dt * vh0
+    if cfg.front_update == "heun":
         up, vp = imex_density_step(
-            state.u, state.v, params, dt, dxi, hp - gp, vg0, vh0, cfg.negative_clip_tol
+            state.u, state.v, params, dt, dxi, h1 - g1, vg0, vh0, cfg.negative_clip_tol
         )
-        vg1, vh1 = _front_velocities(up, vp, hp - gp, dxi, params.mu1, params.mu2)
+        vg1, vh1 = _front_velocities(up, vp, h1 - g1, dxi, params.mu1, params.mu2)
         g1 = state.g + 0.5 * dt * (vg0 + vg1)
         h1 = state.h + 0.5 * dt * (vh0 + vh1)
 
     vg = (g1 - state.g) / dt
     vh = (h1 - state.h) / dt
+    _stability_guard(params, cfg, dt, max(-vg, vh), h1 - g1)
     u1, v1 = imex_density_step(
         state.u, state.v, params, dt, dxi, h1 - g1, vg, vh, cfg.negative_clip_tol
     )
@@ -274,8 +282,8 @@ def run(
         t_rec[i] = i * dt
         g_rec[i] = s.g
         h_rec[i] = s.h
-        su_rec[i] = float(np.max(s.u))
-        sv_rec[i] = float(np.max(s.v))
+        su_rec[i] = s.u.max()
+        sv_rec[i] = s.v.max()
         while pending and i * dt >= pending[0] - 0.5 * dt:
             pending.pop(0)
             snaps.append(

@@ -229,6 +229,15 @@ def test_cli_sweep_empty_values(config_path, capsys):
     assert out == "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u\n"
 
 
+@pytest.mark.parametrize("values", ["abc", "1,nan", "1,inf"])
+def test_cli_sweep_bad_values_is_config_error(config_path, capsys, values):
+    assert main(["sweep", "--config", str(config_path), "--axis", "mu2", "--values", values]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: --values")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_simulate_writes_deterministic_csv(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(small_config_dict(t_end=5.0)))

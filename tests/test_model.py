@@ -140,6 +140,17 @@ def test_initial_data_families():
     assert us[0] == pytest.approx(0.45) and vs[0] == pytest.approx(0.15)
 
 
+@pytest.mark.parametrize("column", ["x", "u", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_table_rejects_nonfinite(column, bad):
+    # a trailing inf keeps x increasing and NaN fails no ordering check, so
+    # only an explicit finiteness check catches these
+    table = {"x": np.linspace(-2.0, 2.0, 5), "u": np.full(5, 0.1), "v": np.full(5, 0.1)}
+    table[column][-1] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        InitialData.from_table(table["x"], table["u"], table["v"])
+
+
 def test_density_bounds_dominate(params_benchmark, init_cos):
     c2, c3 = density_bounds(params_benchmark, init_cos)
     assert c2 > 20.0 / 3.0 and c3 > 4.0  # above the homogeneous fixed point

@@ -161,3 +161,75 @@ def test_impulse_reduces_recorded_mass(params_disinfected, init_cos):
     pre = series.sup_u[m]
     post = series.sup_u[m + 1]
     assert post < 0.1 * pre
+
+
+def test_imex_step_matches_dense_solve(params_benchmark, init_cos):
+    # oracle for the tridiagonal kernel: the same implicit system, assembled
+    # densely from the scheme's definition and solved by np.linalg.solve
+    p = params_benchmark
+    n, dt, width, vel_g, vel_h = 64, 0.01, 4.3, -0.7, 1.1
+    dxi = 1.0 / n
+    xi = np.linspace(0.0, 1.0, n + 1)
+    u, v = init_cos.sample(-2.0 + 4.0 * xi)
+    u, v = u * (1.0 + xi), v * (2.0 - xi)  # break the mirror symmetry
+    u[0] = u[-1] = v[0] = v[-1] = 0.0
+    u_new, v_new = imex_density_step(u, v, p, dt, dxi, width, vel_g, vel_h)
+
+    adv = (vel_g + xi[1:-1] * (vel_h - vel_g)) / width
+    cases = (
+        (u, u_new, p.d1, -p.a11 * u[1:-1] + p.a12 * v[1:-1]),
+        (v, v_new, p.d2, -p.a22 * v[1:-1] + p.growth(u[1:-1])),
+    )
+    for w, w_new, d, reaction in cases:
+        r = dt * d / (width * dxi) ** 2
+        matrix = (1.0 + 2.0 * r) * np.eye(n - 1) - r * (np.eye(n - 1, k=1) + np.eye(n - 1, k=-1))
+        rhs = w[1:-1] + dt * (adv * (w[2:] - w[:-2]) / (2.0 * dxi) + reaction)
+        expected = np.linalg.solve(matrix, rhs)
+        assert w_new[0] == w_new[-1] == 0.0
+        assert np.max(np.abs(w_new[1:-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_density_aborts(params_benchmark, bad):
+    # every other guard is a comparison, which NaN fails: the kernel itself
+    # must refuse a non-finite state
+    n = 32
+    xi = np.linspace(0.0, 1.0, n + 1)
+    u = np.sin(np.pi * xi)
+    v = 0.5 * u
+    u[n // 2] = bad
+    with pytest.raises(NumericalError, match="finite"):
+        imex_density_step(u, v, params_benchmark, 0.01, 1.0 / n, 4.0)
+
+
+def test_run_rejects_nan_initial_data(params_benchmark, init_cos):
+    # NaN in the middle of the interval: the front speeds stay finite, so only
+    # the kernel's finiteness check can stop the run
+    spike = InitialData(u0=lambda x: np.where(np.abs(x) < 0.5, np.nan, init_cos.u0(x)),
+                        v0=init_cos.v0)
+    with pytest.raises(NumericalError, match="finite"):
+        run(params_benchmark, spike, SolverConfig(n=64, steps_per_period=500), 5.0)
+
+
+def test_stability_guard_checks_corrected_speeds(params_benchmark, init_cos, monkeypatch):
+    # the predictor speeds pass dt * vmax^2 <= 2 * min(d) = 0.2; only the
+    # Heun-corrected speed 0.5 * (0.1 + 20) that the density update uses fails
+    import pulsefront.solver as solver
+
+    speeds = iter([(-0.1, 0.1), (-0.1, 20.0)])
+    monkeypatch.setattr(solver, "_front_velocities", lambda *args: next(speeds))
+    x0 = -2.0 + Grid(128).xi * 4.0
+    u, v = init_cos.sample(x0)
+    u[0] = u[-1] = v[0] = v[-1] = 0.0
+    state = SimState(t=0.0, g=-2.0, h=2.0, u=u, v=v)
+    with pytest.raises(ConfigurationError, match="explicit advection unstable"):
+        transform_step(state, params_benchmark, SolverConfig(n=128, steps_per_period=1000), 0.005)
+
+
+def test_indefinite_diffusion_system_aborts(params_benchmark):
+    # dt < 0 makes r < 0 and the "diffusion" matrix indefinite; dptsv reports
+    # it instead of returning a meaningless solve
+    xi = np.linspace(0.0, 1.0, 33)
+    u = np.sin(np.pi * xi)
+    with pytest.raises(NumericalError, match="dptsv info="):
+        imex_density_step(u, u.copy(), params_benchmark, -1.0, 1.0 / 32, 4.0)
