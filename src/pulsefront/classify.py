@@ -137,11 +137,23 @@ def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
 
 
 def detect_outcome(
-    series: TimeSeries, params: ModelParams, criteria: DetectionCriteria | None = None
+    series: TimeSeries,
+    params: ModelParams,
+    criteria: DetectionCriteria | None = None,
+    *,
+    analytic: Classification | None = None,
+    critical: float | None = None,
 ) -> Classification:
-    """Classify a completed run; Undecided is a valid outcome (extend t_end)."""
+    """Classify a completed run; Undecided is a valid outcome (extend t_end).
+
+    ``analytic`` and ``critical`` are ``classify_analytic(params)`` and, in the
+    threshold-dependent regime, ``critical_length(params)``; neither depends on
+    mu1, mu2 or the initial data, so a threshold search computes them once and
+    passes them in.  Left out, they are computed here.
+    """
     crit = criteria or DetectionCriteria()
-    analytic = classify_analytic(params)
+    if analytic is None:
+        analytic = classify_analytic(params)
 
     mass_end = float(series.sup_u[-1] + series.sup_v[-1])
     width = series.width
@@ -151,7 +163,7 @@ def detect_outcome(
     trailing_growth = float(width[-1] - width[idx])
 
     if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
-        trigger = critical_length(params)
+        trigger = critical_length(params) if critical is None else critical
     elif crit.spread_width_cap is not None:
         trigger = crit.spread_width_cap
     else:
@@ -182,13 +194,14 @@ def _probe(
     t_end: float,
     criteria: DetectionCriteria | None,
     label: str,
+    regime: dict,
 ) -> Verdict:
     """Simulate and classify; one doubling of the horizon on Undecided."""
     series = run(params, init, cfg, t_end)
-    verdict = detect_outcome(series, params, criteria).verdict
+    verdict = detect_outcome(series, params, criteria, **regime).verdict
     if verdict is Verdict.UNDECIDED:
         series = run(params, init, cfg, 2.0 * t_end)
-        verdict = detect_outcome(series, params, criteria).verdict
+        verdict = detect_outcome(series, params, criteria, **regime).verdict
     if verdict is Verdict.UNDECIDED:
         raise NumericalError(
             f"outcome at {label} still undecided at t_end={2.0 * t_end:.6g}; "
@@ -233,14 +246,17 @@ def _bisect_threshold(
     )
 
 
-def _search_horizon(params: ModelParams, t_end: float | None, what: str) -> float:
-    """Check the regime a threshold search needs and return its probe horizon."""
+def _search_regime(params: ModelParams, t_end: float | None, what: str) -> tuple[float, dict]:
+    """Check the regime a threshold search needs; return its probe horizon and
+    the ``detect_outcome`` keywords every probe shares (the classification and
+    the critical length, which the searched mu2 or kappa does not change)."""
     base = classify_analytic(params)
     if base.verdict is not Verdict.THRESHOLD_DEPENDENT:
         raise PreconditionError(
             f"{what} threshold search needs the threshold-dependent regime, got {base.verdict}"
         )
-    return 40.0 * params.tau if t_end is None else t_end
+    horizon = 40.0 * params.tau if t_end is None else t_end
+    return horizon, {"analytic": base, "critical": critical_length(params)}
 
 
 def find_mu_threshold(
@@ -257,11 +273,11 @@ def find_mu_threshold(
     Valid only in the threshold-dependent regime; the bracket ends must
     straddle the outcome (Vanishing low, Spreading high).
     """
-    horizon = _search_horizon(params, t_end, "mu2")
+    horizon, regime = _search_regime(params, t_end, "mu2")
 
     def evaluate(mu2: float) -> Verdict:
         p = params.with_(mu2=mu2)
-        return _probe(p, init, cfg, horizon, criteria, f"mu2={mu2:.6g}")
+        return _probe(p, init, cfg, horizon, criteria, f"mu2={mu2:.6g}", regime)
 
     return _bisect_threshold(evaluate, mu2_bracket[0], mu2_bracket[1], tol, "mu2")
 
@@ -285,10 +301,10 @@ def find_kappa_threshold(
             "kappa threshold search requires a linear (or identity) impulse; "
             f"got {params.impulse.kind}"
         )
-    horizon = _search_horizon(params, t_end, "kappa")
+    horizon, regime = _search_regime(params, t_end, "kappa")
 
     def evaluate(kappa: float) -> Verdict:
         scaled = upsilon.scaled(kappa, 1.0)
-        return _probe(params, scaled, cfg, horizon, criteria, f"kappa={kappa:.6g}")
+        return _probe(params, scaled, cfg, horizon, criteria, f"kappa={kappa:.6g}", regime)
 
     return _bisect_threshold(evaluate, kappa_bracket[0], kappa_bracket[1], tol, "kappa")

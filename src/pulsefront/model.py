@@ -254,6 +254,10 @@ class ModelParams:
     impulse: ImpulseFn = field(default_factory=IdentityImpulse)
 
     def __post_init__(self):
+        numeric = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau")
+        infinite = [k for k in numeric if not math.isfinite(getattr(self, k))]
+        if infinite:
+            raise ConfigurationError(f"fields must be finite: {', '.join(infinite)}")
         positive = {
             "d1": self.d1,
             "d2": self.d2,

@@ -83,6 +83,12 @@ class SolverConfig:
     negative_clip_tol: float = 1e-12
 
     def __post_init__(self):
+        infinite = [
+            k for k in ("n", "steps_per_period", "negative_clip_tol")
+            if not math.isfinite(getattr(self, k))
+        ]
+        if infinite:
+            raise ConfigurationError(f"solver fields must be finite: {', '.join(infinite)}")
         if self.n < 16:
             raise ConfigurationError(f"solver needs n >= 16, got n={self.n}")
         if self.steps_per_period < 10:

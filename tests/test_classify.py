@@ -126,6 +126,44 @@ def test_bisect_threshold_records_nested_brackets():
     assert verdicts[1.0] is Verdict.VANISHING and verdicts[10.0] is Verdict.SPREADING
 
 
+def test_threshold_search_computes_critical_length_once(params_benchmark, init_cos, monkeypatch):
+    import pulsefront.classify as classify
+
+    lengths = []
+    real_length, real_detect = classify.critical_length, classify.detect_outcome
+
+    def counted_length(params, *args, **kwargs):
+        lengths.append(params.mu2)
+        return real_length(params, *args, **kwargs)
+
+    outcomes = []
+
+    def spied_detect(series, params, criteria=None, **known):
+        out = real_detect(series, params, criteria, **known)
+        outcomes.append((series, params, out))
+        return out
+
+    def fake_run(params, init, cfg, t_end):
+        # spreads above mu2 = 20, stays put and empty below
+        t = np.linspace(0.0, t_end, 201)
+        if params.mu2 > 20.0:
+            h = 2.0 + 0.2 * t
+            return _series(t, -h, h, np.full_like(t, 5.0), np.full_like(t, 3.0))
+        zero = np.zeros_like(t)
+        return _series(t, zero - 2.0, zero + 2.0, zero, zero)
+
+    monkeypatch.setattr(classify, "critical_length", counted_length)
+    monkeypatch.setattr(classify, "detect_outcome", spied_detect)
+    monkeypatch.setattr(classify, "run", fake_run)
+    result = find_mu_threshold(params_benchmark, init_cos, SolverConfig(n=64), (1.0, 40.0), tol=1.0)
+    lo, hi = result.bracket
+    assert lo <= 20.0 <= hi and len(outcomes) == len(result.history) > 2
+    assert len(lengths) == 1
+    # a direct call recomputes both and classifies every probe the same way
+    for series, params, out in outcomes:
+        assert real_detect(series, params) == out
+
+
 def test_mu_threshold_preconditions(params_disinfected, init_cos):
     cfg = SolverConfig(n=64, steps_per_period=100)
     with pytest.raises(PreconditionError, match="threshold-dependent"):

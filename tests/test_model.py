@@ -17,6 +17,7 @@ from pulsefront.model import (
     eval_impulse,
     validate_assumptions,
 )
+from pulsefront.solver import SolverConfig
 
 
 def test_growth_evals():
@@ -53,6 +54,25 @@ def test_params_structural_checks(params_benchmark):
         params_benchmark.with_(d1=-0.1)
     with pytest.raises(ConfigurationError, match="mu1"):
         params_benchmark.with_(mu1=0.0, mu2=0.0)
+
+
+MODEL_FIELDS = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau")
+SOLVER_FIELDS = ("n", "steps_per_period", "negative_clip_tol")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "field", [("model", f) for f in MODEL_FIELDS] + [("solver", f) for f in SOLVER_FIELDS]
+)
+def test_non_finite_fields_rejected(params_benchmark, field, bad):
+    # through the library API, not only the config parser: d1 = inf used to
+    # pass construction and fail later as a numerical error
+    kind, name = field
+    with pytest.raises(ConfigurationError, match=name):
+        if kind == "model":
+            params_benchmark.with_(**{name: bad})
+        else:
+            SolverConfig(**{name: bad})
 
 
 def test_intensity():

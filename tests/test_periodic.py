@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from pulsefront.errors import PreconditionError
-from pulsefront.model import LinearImpulse, density_bounds
-from pulsefront.periodic import fixed_domain_periodic, ode_period_map, ode_periodic_orbit
+from pulsefront import periodic
+from pulsefront.eigen import lambda_infinity
+from pulsefront.errors import NumericalError, PreconditionError
+from pulsefront.model import (
+    BevertonHoltGrowth,
+    LinearGrowth,
+    LinearImpulse,
+    ModelParams,
+    SaturatingImpulse,
+    density_bounds,
+)
+from pulsefront.periodic import (
+    _imex_period,
+    fixed_domain_periodic,
+    ode_period_map,
+    ode_periodic_orbit,
+)
 
 U_STAR, V_STAR = 20.0 / 3.0, 4.0  # nullcline fixed point of the benchmark set
 
@@ -92,3 +106,90 @@ def test_bad_tolerance_rejected(params_benchmark):
         ode_periodic_orbit(params_benchmark, tol=0.0)
     with pytest.raises(PreconditionError):
         fixed_domain_periodic(params_benchmark, 4.0, n=8)
+    for bad in (dict(tol=0.0), dict(tol=float("nan")), dict(steps_per_period=0)):
+        with pytest.raises(PreconditionError):
+            fixed_domain_periodic(params_benchmark, 4.0, n=64, **bad)
+
+
+def _picard(period_map, w, defect=1e-12, max_maps=5000):
+    """Reference fixed point: plain period-map iteration until the defect is below ``defect``."""
+    for _ in range(max_maps):
+        image = period_map(w)
+        if np.max(np.abs(image - w)) < defect:
+            return image
+        w = image
+    raise AssertionError("reference Picard iteration did not converge")
+
+
+ODE_CASES = {
+    "beverton-holt/saturating": dict(impulse=SaturatingImpulse(c=19.0, b=20.0)),
+    "beverton-holt/identity": {},
+    "linear/linear (zero)": dict(growth=LinearGrowth(p=0.03), impulse=LinearImpulse(rho=0.8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODE_CASES))
+def test_ode_orbit_matches_picard_reference(params_benchmark, case):
+    p = params_benchmark.with_(**ODE_CASES[case])
+    orbit = ode_periodic_orbit(p, tol=1e-10)
+    reference = _picard(lambda w: np.array(ode_period_map(p, tuple(w))),
+                        np.array(density_bounds(p)))
+    assert orbit.is_positive == (np.max(reference) > 1e-6)
+    assert np.max(np.abs(orbit.start_pre_reset - reference)) < 1e-8
+
+
+PDE_CASES = {
+    # (coefficient changes, interval length)
+    "beverton-holt/saturating": (dict(impulse=SaturatingImpulse(c=19.0, b=20.0)), 40.0),
+    "beverton-holt/identity": ({}, 30.0),
+    "linear/linear (zero)": (dict(growth=LinearGrowth(p=0.03), impulse=LinearImpulse(rho=0.8)),
+                             30.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PDE_CASES))
+def test_fixed_domain_orbit_matches_picard_reference(params_benchmark, case):
+    changes, length = PDE_CASES[case]
+    p = params_benchmark.with_(**changes)
+    n, steps = 32, 100
+    orbit = fixed_domain_periodic(p, length, n=n, tol=1e-10, steps_per_period=steps)
+    c2, c3 = density_bounds(p)
+    start = np.zeros((2, n + 1))
+    start[0, 1:-1], start[1, 1:-1] = c2, c3
+
+    def period_map(w):
+        u, v, _ = _imex_period(p, w[0], w[1], length, n, steps)
+        return np.stack([u, v])
+
+    reference = _picard(period_map, start)
+    assert orbit.is_positive == (np.max(reference) > 1e-6)
+    assert np.max(np.abs(orbit.start_pre_reset - reference)) < 1e-8
+
+
+def test_near_threshold_ode_orbit_is_cheap():
+    # whole-line eigenvalue barely positive (lambda*tau ~ 0.03): the period map
+    # contracts toward zero at ~exp(-0.03) per period, ~600 Picard periods
+    p = ModelParams(d1=0.1, d2=0.4, a11=0.3, a12=0.5, a22=0.1, mu1=1.0, mu2=1.0, h0=1.0,
+                    tau=5.0, growth=BevertonHoltGrowth(m=1.12, a=10.0),
+                    impulse=SaturatingImpulse(c=0.5, b=10.0))
+    assert 0.02 < lambda_infinity(p).lam * p.tau < 0.04
+    orbit = ode_periodic_orbit(p)
+    assert not orbit.is_positive
+    assert orbit.periods <= 40
+
+
+def test_periods_count_every_ode_map_evaluation(params_benchmark, monkeypatch):
+    calls = []
+
+    def counted(params, state):
+        calls.append(state)
+        return ode_period_map(params, state)
+
+    monkeypatch.setattr(periodic, "ode_period_map", counted)
+    orbit = ode_periodic_orbit(params_benchmark)
+    assert orbit.periods == len(calls) > 2
+
+
+def test_max_periods_caps_map_evaluations(params_benchmark):
+    with pytest.raises(NumericalError, match="did not converge in 5 periods"):
+        fixed_domain_periodic(params_benchmark, 30.0, n=32, max_periods=5, steps_per_period=50)
