@@ -39,6 +39,14 @@ from .model import (
     validate_assumptions,
 )
 from .periodic import PeriodicOrbit, fixed_domain_periodic, ode_periodic_orbit
-from .solver import Grid, SimState, SolverConfig, TimeSeries, apply_impulse, run, transform_step
+from .solver import (
+    SimState,
+    SolverConfig,
+    TimeSeries,
+    Trajectory,
+    apply_impulse,
+    run,
+    transform_step,
+)
 
 __version__ = "0.1.0"

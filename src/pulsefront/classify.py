@@ -11,6 +11,8 @@ thresholds come in.
 from __future__ import annotations
 
 import enum
+import logging
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from .eigen import lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
 from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams
-from .solver import SolverConfig, TimeSeries, run
+from .solver import SolverConfig, TimeSeries, Trajectory
 
 __all__ = [
     "Verdict",
@@ -31,6 +33,8 @@ __all__ = [
     "find_mu_threshold",
     "find_kappa_threshold",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class Verdict(str, enum.Enum):
@@ -162,12 +166,7 @@ def detect_outcome(
     idx = int(np.searchsorted(series.t, window_start))
     trailing_growth = float(width[-1] - width[idx])
 
-    if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
-        trigger = critical_length(params) if critical is None else critical
-    elif crit.spread_width_cap is not None:
-        trigger = crit.spread_width_cap
-    else:
-        trigger = 25.0 * params.h0
+    trigger = _spread_trigger(params, crit, analytic, critical)
     evidence = {
         "t_end": t1,
         "final_mass": mass_end,
@@ -177,14 +176,36 @@ def detect_outcome(
     }
 
     vanishing = mass_end < crit.eps_vanish and trailing_growth < crit.stall_fraction * params.h0
-    spreading = float(width[-1]) > trigger and mass_end > crit.eps_spread
     if vanishing:
         verdict = Verdict.VANISHING
-    elif spreading:
+    elif _spreads(series, trigger, crit):
         verdict = Verdict.SPREADING
     else:
         verdict = Verdict.UNDECIDED
     return replace(analytic, verdict=verdict, evidence=evidence)
+
+
+def _spread_trigger(
+    params: ModelParams,
+    crit: DetectionCriteria,
+    analytic: Classification,
+    critical: float | None,
+) -> float:
+    """Width past which a run counts as spreading: the critical length in the
+    threshold-dependent regime, else the configured or default width cap."""
+    if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
+        return critical_length(params) if critical is None else critical
+    if crit.spread_width_cap is not None:
+        return crit.spread_width_cap
+    return 25.0 * params.h0
+
+
+def _spreads(series: TimeSeries, trigger: float, crit: DetectionCriteria) -> bool:
+    """The spreading condition at the last record: width past ``trigger`` and
+    mass above ``eps_spread``.  Front speeds are floored at zero, so the width
+    never shrinks; past the critical length spreading is certain."""
+    width_end = float(series.h[-1] - series.g[-1])
+    return width_end > trigger and float(series.sup_u[-1] + series.sup_v[-1]) > crit.eps_spread
 
 
 def _probe(
@@ -196,12 +217,50 @@ def _probe(
     label: str,
     regime: dict,
 ) -> Verdict:
-    """Simulate and classify; one doubling of the horizon on Undecided."""
-    series = run(params, init, cfg, t_end)
-    verdict = detect_outcome(series, params, criteria, **regime).verdict
-    if verdict is Verdict.UNDECIDED:
-        series = run(params, init, cfg, 2.0 * t_end)
-        verdict = detect_outcome(series, params, criteria, **regime).verdict
+    """Simulate and classify; one doubling of the horizon on Undecided.
+
+    The run advances one period at a time and stops as soon as the spreading
+    condition holds, which no later step can undo.  An Undecided run at
+    ``t_end`` continues the same trajectory to ``2 * t_end``: its records are
+    bit-identical to a fresh run of that length.
+    """
+    start = time.perf_counter()
+    crit = criteria or DetectionCriteria()
+    trigger = _spread_trigger(params, crit, **regime)
+    traj = Trajectory(params, init, cfg, t_end)
+    m = cfg.steps_per_period
+
+    def advance(horizon: int) -> None:
+        while traj.step < horizon:
+            traj.advance(min(horizon, (traj.step // m + 1) * m))
+            if _spreads(traj.series(), trigger, crit):
+                return
+
+    horizon = traj.n_steps
+    advance(horizon)
+    outcome = detect_outcome(traj.series(), params, criteria, **regime)
+    resumed = outcome.verdict is Verdict.UNDECIDED
+    if resumed:
+        horizon = traj.steps_to(2.0 * t_end)
+        advance(horizon)
+        outcome = detect_outcome(traj.series(), params, criteria, **regime)
+    verdict = outcome.verdict
+    record = {
+        "probe": label,
+        "verdict": str(verdict),
+        "stop_step": traj.step,
+        "horizon_step": horizon,
+        "stopped_early": traj.step < horizon,
+        "resumed": resumed,
+        "wall_s": time.perf_counter() - start,
+        "evidence": outcome.evidence,
+    }
+    logger.debug(
+        "probe %(probe)s: %(verdict)s at step %(stop_step)d of %(horizon_step)d "
+        "(stopped early: %(stopped_early)s, resumed: %(resumed)s) in %(wall_s).3f s",
+        record,
+        extra={"probe": record},
+    )
     if verdict is Verdict.UNDECIDED:
         raise NumericalError(
             f"outcome at {label} still undecided at t_end={2.0 * t_end:.6g}; "

@@ -146,7 +146,7 @@ def _cmd_classify(args) -> int:
     outcome = cls.classify_analytic(config.model)
     if args.simulate and outcome.verdict is cls.Verdict.THRESHOLD_DEPENDENT:
         series = run(config.model, config.initial_data(), config.solver, config.t_end)
-        outcome = cls.detect_outcome(series, config.model)
+        outcome = cls.detect_outcome(series, config.model, analytic=outcome)
     _emit(outcome.to_json_dict())
     return 0
 
@@ -170,16 +170,17 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _sweep_row(config: RunConfig, axis: str, value: float) -> str:
+def _sweep_row(config: RunConfig, axis: str, value: float, shared: dict) -> str:
     if axis == "rho":
         model = config.model.with_(impulse=LinearImpulse(rho=value))
     else:
         model = config.model.with_(**{axis: value})
-    analytic = cls.classify_analytic(model)
+    analytic = shared.get("analytic") or cls.classify_analytic(model)
     series = run(model, config.init.build(model, config.base_dir), config.solver, config.t_end)
     verdict = analytic.verdict
     if verdict is cls.Verdict.THRESHOLD_DEPENDENT:
-        verdict = cls.detect_outcome(series, model).verdict
+        critical = shared.get("critical")
+        verdict = cls.detect_outcome(series, model, analytic=analytic, critical=critical).verdict
     return ",".join(
         [
             fmt(value),
@@ -199,8 +200,15 @@ def _cmd_sweep(args) -> int:
             f"unknown sweep axis {args.axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
         )
     values = _parse_values(args.values)
+    # the eigenvalues, hence the regime and the critical length, do not
+    # depend on the expansion capacities: compute them once for those axes
+    shared = {}
+    if args.axis in ("mu1", "mu2") and values:
+        shared["analytic"] = cls.classify_analytic(config.model)
+        if shared["analytic"].verdict is cls.Verdict.THRESHOLD_DEPENDENT:
+            shared["critical"] = cls.critical_length(config.model)
     header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
-    rows = [_sweep_row(config, args.axis, v) for v in values]
+    rows = [_sweep_row(config, args.axis, v, shared) for v in values]
     sys.stdout.write("\n".join([header] + rows) + "\n")
     return 0
 

@@ -29,35 +29,16 @@ from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import InitialData, ModelParams, density_bounds
 
 __all__ = [
-    "Grid",
     "SimState",
     "SolverConfig",
     "Snapshot",
     "TimeSeries",
+    "Trajectory",
     "transform_step",
     "apply_impulse",
     "run",
     "imex_density_step",
 ]
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform nodes xi_i = i/n on the reference interval [0, 1]."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 16:
-            raise ConfigurationError(f"grid needs n >= 16, got n={self.n}")
-
-    @property
-    def xi(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n + 1)
-
-    @property
-    def dxi(self) -> float:
-        return 1.0 / self.n
 
 
 @dataclass(frozen=True)
@@ -101,6 +82,15 @@ class SolverConfig:
             )
         if not self.negative_clip_tol >= 0:
             raise ConfigurationError("negative_clip_tol must be non-negative")
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Uniform nodes xi_i = i/n on the reference interval [0, 1]."""
+        return np.linspace(0.0, 1.0, self.n + 1)
+
+    @property
+    def dxi(self) -> float:
+        return 1.0 / self.n
 
 
 @dataclass(frozen=True)
@@ -217,7 +207,7 @@ def _stability_guard(params: ModelParams, cfg: SolverConfig, dt: float, vmax: fl
 
 def transform_step(state: SimState, params: ModelParams, cfg: SolverConfig, dt: float) -> SimState:
     """Advance one step: front speeds, front update, then the density update."""
-    dxi = 1.0 / cfg.n
+    dxi = cfg.dxi
     w = state.width
     vg0, vh0 = _front_velocities(state.u, state.v, w, dxi, params.mu1, params.mu2)
     _stability_guard(params, cfg, dt, max(-vg0, vh0), w)
@@ -245,6 +235,100 @@ def apply_impulse(state: SimState, params: ModelParams) -> SimState:
     return SimState(t=state.t, g=state.g, h=state.h, u=params.impulse(state.u), v=state.v)
 
 
+class Trajectory:
+    """A run from t = 0 that is advanced in pieces and read at any step.
+
+    ``advance(k)`` integrates up to step k; stepping to k in one call or in
+    several gives bit-identical records.  dt = tau / steps_per_period, so
+    resets land exactly on step boundaries.  The reset due after a step that
+    is a multiple of steps_per_period (and the k = 0 reset) is applied when
+    the next step starts, so the record at a reset time holds the pre-reset
+    state (the solution is left-continuous there) and the last record is
+    never a post-reset state.  Density sup-norms are checked each step against
+    the uniform supersolution constants derived from the coefficients.
+
+    ``t_end`` sizes the record arrays and sets ``n_steps``; advancing beyond
+    it grows them.
+    """
+
+    def __init__(
+        self,
+        params: ModelParams,
+        init: InitialData,
+        cfg: SolverConfig,
+        t_end: float,
+        snapshot_times: tuple[float, ...] = (),
+    ):
+        if not t_end > 0:
+            raise PreconditionError(f"t_end must be positive, got {t_end}")
+        self.params, self.cfg = params, cfg
+        self.dt = params.tau / cfg.steps_per_period
+        self.n_steps = self.steps_to(t_end)
+        self.c2, self.c3 = density_bounds(params, init)
+        self._xi = cfg.xi
+
+        x0 = -params.h0 + self._xi * (2.0 * params.h0)
+        u, v = init.sample(x0)
+        if np.any(u < 0) or np.any(v < 0):
+            raise ConfigurationError("initial densities must be non-negative")
+        u = u.copy()
+        v = v.copy()
+        u[0] = u[-1] = 0.0
+        v[0] = v[-1] = 0.0
+        self.state = SimState(t=0.0, g=-params.h0, h=params.h0, u=u, v=v)
+        self.step = 0
+        self._rec = np.empty((5, self.n_steps + 1))  # rows t, g, h, sup_u, sup_v
+        self._snaps: list[Snapshot] = []
+        self._pending = sorted(float(s) for s in snapshot_times)
+        self._record()
+
+    def steps_to(self, t_end: float) -> int:
+        """Steps needed to reach t_end (a partial last step counts in full)."""
+        return int(math.ceil(t_end / self.dt - 1e-9))
+
+    def _record(self):
+        i, s, dt = self.step, self.state, self.dt
+        rec = self._rec
+        rec[0, i] = i * dt
+        rec[1, i] = s.g
+        rec[2, i] = s.h
+        rec[3, i] = s.u.max()
+        rec[4, i] = s.v.max()
+        while self._pending and i * dt >= self._pending[0] - 0.5 * dt:
+            self._pending.pop(0)
+            self._snaps.append(
+                Snapshot(t=i * dt, x=s.g + self._xi * s.width, u=s.u.copy(), v=s.v.copy())
+            )
+
+    def advance(self, to_step: int) -> None:
+        """Integrate from the current step up to step ``to_step``."""
+        if to_step >= self._rec.shape[1]:
+            grown = np.empty((5, to_step + 1))
+            grown[:, : self.step + 1] = self._rec[:, : self.step + 1]
+            self._rec = grown
+        params, cfg, dt, m = self.params, self.cfg, self.dt, self.cfg.steps_per_period
+        rec = self._rec
+        while self.step < to_step:
+            if self.step % m == 0:
+                self.state = apply_impulse(self.state, params)
+            self.state = transform_step(self.state, params, cfg, dt)
+            self.step += 1
+            self._record()
+            i = self.step
+            if rec[3, i] > self.c2 or rec[4, i] > self.c3:
+                raise NumericalError(
+                    f"density bound violated at t={i * dt:.6g}: "
+                    f"sup_u={rec[3, i]:.6g} (C2={self.c2:.6g}), "
+                    f"sup_v={rec[4, i]:.6g} (C3={self.c3:.6g})"
+                )
+
+    def series(self) -> TimeSeries:
+        """The records up to the current step; later steps leave them as they are."""
+        k = self.step + 1
+        t, g, h, sup_u, sup_v = self._rec[:, :k]
+        return TimeSeries(t=t, g=g, h=h, sup_u=sup_u, sup_v=sup_v, snapshots=tuple(self._snaps))
+
+
 def run(
     params: ModelParams,
     init: InitialData,
@@ -254,63 +338,9 @@ def run(
 ) -> TimeSeries:
     """Integrate from t = 0 to t_end, recording every step boundary.
 
-    dt = tau / steps_per_period, so resets land exactly on step boundaries.
-    The trace rows at reset times hold the pre-reset state (the solution is
-    left-continuous there).  Density sup-norms are checked each step against
-    the uniform supersolution constants derived from the coefficients.
+    A ``Trajectory`` advanced to its last step in one call; see there for
+    the time grid, the resets and the density checks.
     """
-    if not t_end > 0:
-        raise PreconditionError(f"t_end must be positive, got {t_end}")
-    grid = Grid(cfg.n)
-    dt = params.tau / cfg.steps_per_period
-    n_steps = int(math.ceil(t_end / dt - 1e-9))
-    c2, c3 = density_bounds(params, init)
-
-    x0 = -params.h0 + grid.xi * (2.0 * params.h0)
-    u, v = init.sample(x0)
-    if np.any(u < 0) or np.any(v < 0):
-        raise ConfigurationError("initial densities must be non-negative")
-    u = u.copy()
-    v = v.copy()
-    u[0] = u[-1] = 0.0
-    v[0] = v[-1] = 0.0
-    state = SimState(t=0.0, g=-params.h0, h=params.h0, u=u, v=v)
-
-    t_rec = np.empty(n_steps + 1)
-    g_rec = np.empty(n_steps + 1)
-    h_rec = np.empty(n_steps + 1)
-    su_rec = np.empty(n_steps + 1)
-    sv_rec = np.empty(n_steps + 1)
-    snaps: list[Snapshot] = []
-    pending = sorted(float(s) for s in snapshot_times)
-
-    def record(i: int, s: SimState):
-        t_rec[i] = i * dt
-        g_rec[i] = s.g
-        h_rec[i] = s.h
-        su_rec[i] = s.u.max()
-        sv_rec[i] = s.v.max()
-        while pending and i * dt >= pending[0] - 0.5 * dt:
-            pending.pop(0)
-            snaps.append(
-                Snapshot(t=i * dt, x=s.g + grid.xi * s.width, u=s.u.copy(), v=s.v.copy())
-            )
-
-    record(0, state)
-    state = apply_impulse(state, params)
-
-    m = cfg.steps_per_period
-    for i in range(1, n_steps + 1):
-        state = transform_step(state, params, cfg, dt)
-        record(i, state)
-        if su_rec[i] > c2 or sv_rec[i] > c3:
-            raise NumericalError(
-                f"density bound violated at t={i * dt:.6g}: "
-                f"sup_u={su_rec[i]:.6g} (C2={c2:.6g}), sup_v={sv_rec[i]:.6g} (C3={c3:.6g})"
-            )
-        if i % m == 0 and i < n_steps:
-            state = apply_impulse(state, params)
-
-    return TimeSeries(
-        t=t_rec, g=g_rec, h=h_rec, sup_u=su_rec, sup_v=sv_rec, snapshots=tuple(snaps)
-    )
+    traj = Trajectory(params, init, cfg, t_end, snapshot_times)
+    traj.advance(traj.n_steps)
+    return traj.series()

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -143,18 +144,29 @@ def test_threshold_search_computes_critical_length_once(params_benchmark, init_c
         outcomes.append((series, params, out))
         return out
 
-    def fake_run(params, init, cfg, t_end):
-        # spreads above mu2 = 20, stays put and empty below
-        t = np.linspace(0.0, t_end, 201)
-        if params.mu2 > 20.0:
-            h = 2.0 + 0.2 * t
-            return _series(t, -h, h, np.full_like(t, 5.0), np.full_like(t, 3.0))
-        zero = np.zeros_like(t)
-        return _series(t, zero - 2.0, zero + 2.0, zero, zero)
+    class FakeTrajectory:
+        # spreads above mu2 = 20, stays put and empty below; 200 steps to t_end
+        def __init__(self, params, init, cfg, t_end):
+            self.mu2, self.dt, self.step = params.mu2, t_end / 200, 0
+            self.n_steps = self.steps_to(t_end)
+
+        def steps_to(self, t_end):
+            return round(t_end / self.dt)
+
+        def advance(self, to_step):
+            self.step = max(self.step, to_step)
+
+        def series(self):
+            t = np.arange(self.step + 1) * self.dt
+            if self.mu2 > 20.0:
+                h = 2.0 + 0.2 * t
+                return _series(t, -h, h, np.full_like(t, 5.0), np.full_like(t, 3.0))
+            zero = np.zeros_like(t)
+            return _series(t, zero - 2.0, zero + 2.0, zero, zero)
 
     monkeypatch.setattr(classify, "critical_length", counted_length)
     monkeypatch.setattr(classify, "detect_outcome", spied_detect)
-    monkeypatch.setattr(classify, "run", fake_run)
+    monkeypatch.setattr(classify, "Trajectory", FakeTrajectory)
     result = find_mu_threshold(params_benchmark, init_cos, SolverConfig(n=64), (1.0, 40.0), tol=1.0)
     lo, hi = result.bracket
     assert lo <= 20.0 <= hi and len(outcomes) == len(result.history) > 2
@@ -253,3 +265,72 @@ def test_analytic_and_simulated_verdicts_agree(init_cos):
         assert classify_analytic(p).verdict is Verdict.SPREADING
         series = run(p, InitialData.cos_quarter(h0, 0.3, 0.1), cfg_spread, 600.0)
         assert detect_outcome(series, p).verdict is Verdict.SPREADING
+
+
+def _counted_probe(monkeypatch, mu2):
+    """One probe on the fig-c/d coefficients, coarse grid (mu0 near 1.4 there):
+    (verdict, evidence of every detect_outcome call, transform_step calls, n1)."""
+    import pulsefront.classify as classify
+    import pulsefront.solver as solver
+
+    params = base_params_cd(1.0)
+    init, cfg = InitialData.cos_quarter(2.0, 0.3, 0.1), SolverConfig(n=32, steps_per_period=25)
+    horizon, regime = classify._search_regime(params, None, "mu2")
+    steps, evidences = [0], []
+    real_step, real_detect = solver.transform_step, classify.detect_outcome
+
+    def counted_step(*args):
+        steps[0] += 1
+        return real_step(*args)
+
+    def spied_detect(*args, **kwargs):
+        out = real_detect(*args, **kwargs)
+        evidences.append(out.evidence)
+        return out
+
+    monkeypatch.setattr(solver, "transform_step", counted_step)
+    monkeypatch.setattr(classify, "detect_outcome", spied_detect)
+    verdict = classify._probe(params.with_(mu2=mu2), init, cfg, horizon, None, f"mu2={mu2}", regime)
+    return verdict, evidences, steps[0], round(horizon / (params.tau / cfg.steps_per_period))
+
+
+def test_spreading_probe_stops_before_horizon(monkeypatch):
+    verdict, evidences, steps, n1 = _counted_probe(monkeypatch, 10.0)
+    assert verdict is Verdict.SPREADING and n1 == 1000
+    (evidence,) = evidences
+    assert evidence["t_end"] < 200.0
+    assert evidence["final_width"] > evidence["spread_trigger_width"]
+    # stopped at the first period end where the condition held
+    assert steps % 25 == 0 and steps == round(evidence["t_end"] / 0.2) < n1
+
+
+def test_undecided_probe_resumes_its_trajectory(monkeypatch):
+    verdict, evidences, steps, n1 = _counted_probe(monkeypatch, 1.2)
+    assert verdict is Verdict.VANISHING
+    assert [e["t_end"] for e in evidences] == [200.0, 400.0]
+    assert steps == 2 * n1  # n2 steps, not n1 + n2
+
+
+def test_probes_log_one_debug_record_each(caplog):
+    params = base_params_cd(1.0)
+    init, cfg = InitialData.cos_quarter(2.0, 0.3, 0.1), SolverConfig(n=32, steps_per_period=25)
+
+    def search():
+        return find_mu_threshold(params, init, cfg, (1.0, 10.0), tol=3.0)
+
+    with caplog.at_level(logging.INFO, logger="pulsefront.classify"):
+        quiet = search()
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="pulsefront.classify"):
+        loud = search()
+    assert loud == quiet
+    records = [r.probe for r in caplog.records]
+    assert [(r["probe"], r["verdict"]) for r in records] == [
+        (f"mu2={value:.6g}", str(verdict)) for value, verdict in loud.history
+    ]
+    # mu2 = 1 vanishes at the horizon; the high end spreads within it
+    assert records[0]["stop_step"] == records[0]["horizon_step"] == 1000
+    assert not records[0]["stopped_early"] and not records[0]["resumed"]
+    assert records[1]["stopped_early"] and records[1]["stop_step"] < 1000
+    assert all(r["wall_s"] > 0 for r in records)
+    assert records[1]["evidence"]["t_end"] == records[1]["stop_step"] * (params.tau / 25)

@@ -361,3 +361,35 @@ def test_svg_outputs_deterministic(params_benchmark, init_cos):
     hm1 = svg_heatmap(series)
     hm2 = svg_heatmap(series)
     assert hm1 == hm2 and "<rect" in hm1
+
+
+def test_cli_sweep_mu_axis_computes_critical_length_once(tmp_path, capsys, monkeypatch):
+    import pulsefront.classify as classify
+    from pulsefront.solver import run
+
+    doc = small_config_dict(t_end=20.0, n=32, steps=100, mu1=0.1, mu2=1.0)
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real_length = classify.critical_length
+
+    def counted_length(params, *args, **kwargs):
+        calls.append(params.mu2)
+        return real_length(params, *args, **kwargs)
+
+    monkeypatch.setattr(classify, "critical_length", counted_length)
+    assert main(["sweep", "--config", str(path), "--axis", "mu2", "--values", "1,2,3,4"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # every row is what the library computes for that mu2 on its own
+    config = parse_config(path)
+    for row, mu2 in zip(rows, (1.0, 2.0, 3.0, 4.0), strict=True):
+        model = config.model.with_(mu2=mu2)
+        series = run(model, config.initial_data(), config.solver, config.t_end)
+        analytic = classify.classify_analytic(model)
+        outcome = classify.detect_outcome(series, model)
+        assert analytic.verdict is classify.Verdict.THRESHOLD_DEPENDENT
+        assert row[1:4] == [fmt(analytic.lambda_infinity), fmt(analytic.lambda_h0),
+                            str(outcome.verdict)]
+    assert {row[3] for row in rows} == {"Undecided", "Spreading"}

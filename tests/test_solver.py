@@ -4,9 +4,9 @@ import pytest
 from pulsefront.errors import ConfigurationError, NumericalError
 from pulsefront.model import InitialData
 from pulsefront.solver import (
-    Grid,
     SimState,
     SolverConfig,
+    Trajectory,
     apply_impulse,
     imex_density_step,
     run,
@@ -15,9 +15,10 @@ from pulsefront.solver import (
 
 
 def test_grid_and_config_invariants():
-    assert Grid(16).dxi == pytest.approx(1 / 16)
-    with pytest.raises(ConfigurationError):
-        Grid(8)
+    assert SolverConfig(n=16).dxi == 1 / 16
+    assert SolverConfig(n=16).xi[1] == 1 / 16
+    with pytest.raises(ConfigurationError, match="n >= 16"):
+        SolverConfig(n=8)
     with pytest.raises(ConfigurationError):
         SolverConfig(steps_per_period=5)
     with pytest.raises(ConfigurationError):
@@ -54,7 +55,7 @@ def test_apply_impulse_pointwise(params_benchmark):
 
 def test_single_step_symmetry(params_benchmark, init_cos):
     cfg = SolverConfig(n=128, steps_per_period=1000)
-    x0 = -2.0 + Grid(128).xi * 4.0
+    x0 = -2.0 + SolverConfig(n=128).xi * 4.0
     u, v = init_cos.sample(x0)
     u[0] = u[-1] = v[0] = v[-1] = 0.0
     state = SimState(t=0.0, g=-2.0, h=2.0, u=u, v=v)
@@ -144,6 +145,57 @@ def test_run_is_deterministic(params_disinfected, init_cos):
     assert np.array_equal(s1.snapshots[0].u, s2.snapshots[0].u)
 
 
+def _assert_same_series(a, b):
+    for name in ("t", "g", "h", "sup_u", "sup_v"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.t == sb.t
+        assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.u, sb.u)
+        assert np.array_equal(sa.v, sb.v)
+
+
+def _reference_records(params, init, cfg, t_end):
+    """The step loop written out: a reset at t = 0 and after every
+    steps_per_period-th step but the last; rows t, g, h, sup_u, sup_v."""
+    dt = params.tau / cfg.steps_per_period
+    n_steps = int(np.ceil(t_end / dt - 1e-9))
+    u, v = init.sample(-params.h0 + cfg.xi * (2.0 * params.h0))
+    u, v = u.copy(), v.copy()
+    u[0] = u[-1] = v[0] = v[-1] = 0.0
+    state = SimState(t=0.0, g=-params.h0, h=params.h0, u=u, v=v)
+    rows = [(0.0, state.g, state.h, u.max(), v.max())]
+    state = apply_impulse(state, params)
+    for i in range(1, n_steps + 1):
+        state = transform_step(state, params, cfg, dt)
+        rows.append((i * dt, state.g, state.h, state.u.max(), state.v.max()))
+        if i % cfg.steps_per_period == 0 and i < n_steps:
+            state = apply_impulse(state, params)
+    return np.array(rows).T
+
+
+def test_trajectory_in_pieces_matches_run(params_disinfected, init_cos):
+    # saturating resets every 100 steps; t_end/dt = 310.4 is not integral
+    cfg = SolverConfig(n=64, steps_per_period=100)
+    t_end = 3.1 * params_disinfected.tau + 0.02
+    snaps = (0.0, 5.0, 10.0, t_end, 2.0 * t_end)
+    whole = run(params_disinfected, init_cos, cfg, t_end, snaps)
+    traj = Trajectory(params_disinfected, init_cos, cfg, t_end, snaps)
+    assert traj.n_steps == whole.t.size - 1 == 311
+    reference = _reference_records(params_disinfected, init_cos, cfg, t_end)
+    assert np.array_equal(np.array([whole.t, whole.g, whole.h, whole.sup_u, whole.sup_v]), reference)
+    for k in (1, 99, 100, 101, 200, 201, 250, 300, 311):
+        traj.advance(k)
+        assert traj.step == k
+        _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, k * traj.dt, snaps))
+    _assert_same_series(traj.series(), whole)
+    # resuming past the first horizon grows the records and equals a fresh run
+    first = traj.series()
+    traj.advance(traj.steps_to(2.0 * t_end))
+    _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, 2.0 * t_end, snaps))
+    _assert_same_series(first, whole)
+
+
 def test_timeseries_shape_and_times(params_benchmark, init_cos):
     cfg = SolverConfig(n=64, steps_per_period=500)
     series = run(params_benchmark, init_cos, cfg, 5.0)
@@ -218,7 +270,7 @@ def test_stability_guard_checks_corrected_speeds(params_benchmark, init_cos, mon
 
     speeds = iter([(-0.1, 0.1), (-0.1, 20.0)])
     monkeypatch.setattr(solver, "_front_velocities", lambda *args: next(speeds))
-    x0 = -2.0 + Grid(128).xi * 4.0
+    x0 = -2.0 + SolverConfig(n=128).xi * 4.0
     u, v = init_cos.sample(x0)
     u[0] = u[-1] = v[0] = v[-1] = 0.0
     state = SimState(t=0.0, g=-2.0, h=2.0, u=u, v=v)
