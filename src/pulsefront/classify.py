@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -276,6 +277,14 @@ def _bisect_threshold(
         raise PreconditionError(f"degenerate {what} bracket: lo={lo}, hi={hi}")
     if not tol > 0:
         raise PreconditionError("tol must be positive")
+    # adjacent floats of the bracket lie at most one spacing of its larger end
+    # apart; a tol below that is never reached, since their midpoint is one of them
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if tol < spacing:
+        raise PreconditionError(
+            f"tol {tol:g} is below the float spacing {spacing:g} of the {what} bracket "
+            f"({lo:g}, {hi:g}); bisection cannot reach it"
+        )
     history: list[tuple[float, Verdict]] = []
     brackets: list[tuple[float, float]] = []
 

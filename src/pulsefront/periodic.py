@@ -4,7 +4,9 @@ Two period maps P are solved for their fixed points, both started from the
 uniform supersolution constants:
 
 * the spatially homogeneous pair U' = a12 V - a11 U, V' = f(U) - a22 V with
-  the reset U <- G(U) once per period (the whole-line limit dynamics), and
+  the reset U <- G(U) once per period (the whole-line limit dynamics),
+  integrated by LSODA (``scipy.integrate.odeint``, imported on first use),
+  where a failed or non-finite integration raises NumericalError, and
 * the fixed-interval Dirichlet problem, advanced with the same IMEX core as
   the moving-front solver but with frozen fronts.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +44,10 @@ from .solver import imex_density_step
 
 __all__ = ["PeriodicOrbit", "ode_periodic_orbit", "fixed_domain_periodic", "ode_period_map"]
 
-ODE_SUBSTEPS = 10_000
+# LSODA tolerances of the homogeneous map: Newton differences states down to
+# 1e-9 near the zero orbit, so only a relative tolerance keeps them accurate
+ODE_RTOL = 1e-12
+ODE_ATOL = 1e-20
 
 # a converged state counts as the positive orbit only if the defect is also
 # small relative to the state: slow geometric decay toward zero can reach an
@@ -150,36 +156,31 @@ def _newton_iterate(P, w: np.ndarray, pw: np.ndarray, tol: float) -> np.ndarray:
     return np.clip(w + delta, 0.0, pw)
 
 
-def _rk4_period(params: ModelParams, u: float, v: float, substeps: int, sample_every: int = 0):
-    """Classical fourth-order sweep over (0, tau]; optionally samples the path."""
-    a11, a12, a22 = params.a11, params.a12, params.a22
-    f = params.growth
-    dt = params.tau / substeps
-    samples = [] if sample_every else None
-    for i in range(substeps):
-        k1u = a12 * v - a11 * u
-        k1v = f(u) - a22 * v
-        u2, v2 = u + 0.5 * dt * k1u, v + 0.5 * dt * k1v
-        k2u = a12 * v2 - a11 * u2
-        k2v = f(u2) - a22 * v2
-        u3, v3 = u + 0.5 * dt * k2u, v + 0.5 * dt * k2v
-        k3u = a12 * v3 - a11 * u3
-        k3v = f(u3) - a22 * v3
-        u4, v4 = u + dt * k3u, v + dt * k3v
-        k4u = a12 * v4 - a11 * u4
-        k4v = f(u4) - a22 * v4
-        u = u + dt * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-        v = v + dt * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-        if samples is not None and (i + 1) % sample_every == 0:
-            samples.append((u, v))
-    return u, v, samples
+def _integrate(params: ModelParams, u: float, v: float, t) -> np.ndarray:
+    """LSODA solution of the homogeneous system from (u, v) at t[0]; one row per time in ``t``."""
+    # deferred: scipy.integrate costs ~60 ms and 1.7 MB to import; only the ODE orbit needs it
+    from scipy.integrate import ODEintWarning, odeint
+
+    a11, a12, a22, f = params.a11, params.a12, params.a22, params.growth
+
+    def rhs(y, _t):
+        return (a12 * y[1] - a11 * y[0], f(y[0]) - a22 * y[1])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)  # failure is reported below instead
+        y, info = odeint(rhs, (u, v), t, rtol=ODE_RTOL, atol=ODE_ATOL, full_output=True)
+    if info["message"] != "Integration successful." or not np.isfinite(y).all():
+        raise NumericalError(
+            f"homogeneous ODE integration failed from ({u:.6g}, {v:.6g}): {info['message']}"
+        )
+    return y
 
 
 def ode_period_map(params: ModelParams, state: tuple[float, float]) -> tuple[float, float]:
     """Apply the reset, integrate one period; pre-reset state in, pre-reset out."""
     u0 = float(params.impulse(state[0]))
-    u, v, _ = _rk4_period(params, u0, float(state[1]), ODE_SUBSTEPS)
-    return u, v
+    y = _integrate(params, u0, float(state[1]), (0.0, params.tau))
+    return float(y[-1, 0]), float(y[-1, 1])
 
 
 def ode_periodic_orbit(
@@ -197,6 +198,8 @@ def ode_periodic_orbit(
     """
     _check_search(tol, max_periods)
     w0 = density_bounds(params) if start is None else (float(start[0]), float(start[1]))
+    if not all(math.isfinite(c) and c >= 0.0 for c in w0):
+        raise PreconditionError(f"start must be finite and non-negative, got {w0}")
 
     def period_map(w: np.ndarray) -> np.ndarray:
         return np.array(ode_period_map(params, (w[0], w[1])))
@@ -204,39 +207,14 @@ def ode_periodic_orbit(
     state, residual, is_positive, periods = _fixed_point(
         period_map, np.array(w0, dtype=float), tol, max_periods, "homogeneous"
     )
-    if not is_positive:
-        return _zero_orbit_homog(params, residual, periods)
-
-    # resample one period of the converged orbit for the report
-    u, v = float(state[0]), float(state[1])
-    sample_every = ODE_SUBSTEPS // 200
-    u_plus = float(params.impulse(u))
-    _, _, path = _rk4_period(params, u_plus, v, ODE_SUBSTEPS, sample_every=sample_every)
-    t = np.concatenate([[0.0], (np.arange(1, len(path) + 1)) * (params.tau / 200)])
-    U = np.concatenate([[u_plus], [p[0] for p in path]])
-    V = np.concatenate([[v], [p[1] for p in path]])
-    return PeriodicOrbit(
-        t=t,
-        U=U,
-        V=V,
-        residual=residual,
-        is_positive=True,
-        periods=periods,
-        start_pre_reset=np.array([u, v]),
-    )
-
-
-def _zero_orbit_homog(params: ModelParams, residual: float, periods: int) -> PeriodicOrbit:
     t = np.linspace(0.0, params.tau, 201)
-    z = np.zeros_like(t)
+    if is_positive:  # resample one period of the converged orbit for the report
+        U, V = _integrate(params, float(params.impulse(state[0])), float(state[1]), t).T.copy()
+    else:
+        U, V, state = np.zeros(t.size), np.zeros(t.size), np.zeros(2)
     return PeriodicOrbit(
-        t=t,
-        U=z,
-        V=z.copy(),
-        residual=residual,
-        is_positive=False,
-        periods=periods,
-        start_pre_reset=np.zeros(2),
+        t=t, U=U, V=V, residual=residual, is_positive=is_positive, periods=periods,
+        start_pre_reset=state,
     )
 
 

@@ -127,6 +127,24 @@ def test_bisect_threshold_records_nested_brackets():
     assert verdicts[1.0] is Verdict.VANISHING and verdicts[10.0] is Verdict.SPREADING
 
 
+def test_bisect_threshold_rejects_tol_below_float_spacing():
+    probes = []
+
+    def evaluate(x):
+        probes.append(x)
+        assert len(probes) < 200, "bisection does not end"
+        return Verdict.VANISHING if x < 3.7 else Verdict.SPREADING
+
+    # adjacent floats near 10 are ~1.8e-15 apart: 1e-300 is never reached
+    with pytest.raises(PreconditionError, match="float spacing"):
+        _bisect_threshold(evaluate, 1.0, 10.0, 1e-300, "x")
+    assert probes == []
+    # the spacing itself is reachable
+    result = _bisect_threshold(evaluate, 1.0, 10.0, math.ulp(10.0), "x")
+    lo, hi = result.bracket
+    assert 0 < hi - lo <= math.ulp(10.0) and lo < 3.7 <= hi
+
+
 def test_threshold_search_computes_critical_length_once(params_benchmark, init_cos, monkeypatch):
     import pulsefront.classify as classify
 

@@ -296,6 +296,17 @@ def test_cli_threshold_mu2_csv(tmp_path, capsys):
     assert 1.0 < float(final[3]) < 10.0
 
 
+def test_cli_threshold_unreachable_tol_is_precondition_exit(tmp_path, capsys):
+    path = tmp_path / "weak.json"
+    path.write_text(json.dumps(small_config_dict(t_end=200.0, n=96, steps=400, mu1=0.1, mu2=1.0)))
+    code = main(["threshold", "--config", str(path), "--param", "mu2",
+                 "--lo", "1", "--hi", "10", "--tol", "1e-300"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float spacing" in captured.err
+
+
 def test_cli_reproduce_writes_report_bundle(tmp_path, capsys, monkeypatch):
     import pulsefront.cli as cli_mod
     from pulsefront.presets import FigurePreset, preset as real_preset

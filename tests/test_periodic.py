@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.integrate
+from scipy.linalg import expm
 
 from pulsefront import periodic
 from pulsefront.eigen import lambda_infinity
@@ -67,6 +71,51 @@ def test_linear_impulse_reset_ratio_exact(params_benchmark):
     assert orbit.is_positive
     # first sample is the post-reset state of the converged pre-reset start
     assert orbit.U[0] == 0.9 * orbit.start_pre_reset[0]
+
+
+@pytest.mark.parametrize("size", [1e-8, 1.0, 50.0])
+def test_linear_period_map_matches_expm(params_benchmark, size):
+    # linear f and G: the period map is exactly expm(A tau) (rho u, v)
+    p = params_benchmark.with_(growth=LinearGrowth(p=0.03), impulse=LinearImpulse(rho=0.8))
+    A = np.array([[-p.a11, p.a12], [0.03, -p.a22]])
+    state = (size, 0.7 * size)
+    exact = expm(A * p.tau) @ np.array([0.8 * state[0], state[1]])
+    image = np.array(ode_period_map(p, state))
+    assert np.max(np.abs(image - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_positive_orbit_resample_grid(params_benchmark):
+    p = params_benchmark.with_(impulse=SaturatingImpulse(c=19.0, b=20.0))
+    tol = 1e-9
+    orbit = ode_periodic_orbit(p, tol=tol)
+    assert orbit.is_positive
+    assert np.array_equal(orbit.t, np.linspace(0.0, p.tau, 201))
+    u, v = orbit.start_pre_reset
+    assert orbit.U[0] == p.impulse(u) and orbit.V[0] == v
+    # one period on from the fixed point lands back on it within the defect
+    assert abs(orbit.U[-1] - u) < tol and abs(orbit.V[-1] - v) < tol
+
+
+@pytest.mark.parametrize("start", [(float("nan"), 1.0), (1.0, float("inf")),
+                                   (-float("inf"), 1.0), (-1e-3, 1.0)])
+def test_bad_start_rejected(params_benchmark, start):
+    with pytest.raises(PreconditionError, match="start"):
+        ode_periodic_orbit(params_benchmark, start=start, max_periods=30)
+
+
+@pytest.mark.parametrize("value, message", [
+    (1.0, "Excess work done on this call (perhaps wrong Dfun type)."),
+    (np.nan, "Integration successful."),
+])
+def test_integrator_failure_is_numerical_error(params_benchmark, monkeypatch, value, message):
+    def failing(func, y0, t, **kwargs):
+        if value == 1.0:  # odeint warns on every failure it reports
+            warnings.warn(message, scipy.integrate.ODEintWarning)
+        return np.full((len(t), 2), value), {"message": message}
+
+    monkeypatch.setattr(scipy.integrate, "odeint", failing)
+    with pytest.raises(NumericalError, match="integration failed"):
+        ode_period_map(params_benchmark, (1.0, 1.0))
 
 
 def test_fixed_domain_subcritical_zero_orbit(params_benchmark):
