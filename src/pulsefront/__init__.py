@@ -40,7 +40,6 @@ from .model import (
 )
 from .periodic import PeriodicOrbit, fixed_domain_periodic, ode_periodic_orbit
 from .solver import (
-    SimState,
     SolverConfig,
     TimeSeries,
     Trajectory,

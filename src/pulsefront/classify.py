@@ -133,12 +133,12 @@ def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
         if hi > 1e12:
             raise NumericalError("no sign change found while expanding the width bracket")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if principal_eigenvalue_monodromy(params, mid).lam > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def detect_outcome(
@@ -301,13 +301,13 @@ def _bisect_threshold(
     if v_hi is not Verdict.SPREADING:
         raise PreconditionError(f"{what} bracket high end must spread, got {v_hi} at {hi}")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if probe(mid) is Verdict.SPREADING:
             hi = mid
         else:
             lo = mid
     return ThresholdResult(
-        value=0.5 * (lo + hi),
+        value=0.5 * lo + 0.5 * hi,
         bracket=(lo, hi),
         history=tuple(history),
         brackets=tuple(brackets),

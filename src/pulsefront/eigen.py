@@ -107,7 +107,12 @@ def dirichlet_lambda0(interval_length: float) -> float:
     """Ground Dirichlet eigenvalue (pi/L)^2 of -d^2/dx^2 on an interval of length L."""
     if not (math.isfinite(interval_length) and interval_length > 0):
         raise PreconditionError(f"interval length must be finite and positive, got {interval_length}")
-    return (math.pi / interval_length) ** 2
+    ratio = math.pi / interval_length
+    if ratio > 1e154:
+        raise PreconditionError(
+            f"interval length {interval_length:g} is too short: (pi/L)^2 > 1e308"
+        )
+    return ratio**2
 
 
 def _slopes(params: ModelParams) -> tuple[float, float]:
@@ -175,12 +180,31 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
         raise PreconditionError("impulse slope G'(0) must be positive")
     B = _cooperative_matrix(params, lambda0)
     c1, c2 = _shifts(params, lambda0)
-    M = _expm2(B, c1, c2, params.tau) @ np.diag([gp0, 1.0])
-    tr = M[0, 0] + M[1, 1]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    r = (tr + math.sqrt(tr * tr - 4.0 * det)) / 2.0
+    # lambda = -ln r / tau for the Perron root r of M = 2^e * Ms, where 2^e is
+    # the binade of max|M|: tr^2 and det of Ms cannot under- or overflow, and
+    # scaling by a power of two is exact, so r is unchanged wherever the
+    # unscaled formula was in range
+    def out_of_range(what: str) -> NumericalError:
+        c1_tau = c1 * params.tau
+        return NumericalError(f"monodromy matrix exp(B*tau) {what} (c1*tau = {c1_tau:.6g})")
+
+    try:
+        with np.errstate(all="ignore"):  # a non-finite M is reported below
+            M = _expm2(B, c1, c2, params.tau) @ np.diag([gp0, 1.0])
+    except OverflowError:
+        raise out_of_range("overflows") from None
+    mantissa, e = math.frexp(float(np.abs(M).max()))
+    if not math.isfinite(mantissa) or e > 1022:  # r < 2 * max|M| must stay finite
+        raise out_of_range("overflows")
+    Ms = np.ldexp(M, -e)
+    tr = Ms[0, 0] + Ms[1, 1]
+    det = Ms[0, 0] * Ms[1, 1] - Ms[0, 1] * Ms[1, 0]
+    rs = (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0))) / 2.0
+    r = math.ldexp(rs, e)
+    if r == 0.0:
+        raise out_of_range("underflows to zero")
     lam = -math.log(r) / params.tau
-    vec = np.array([M[0, 1], r - M[0, 0]])
+    vec = np.array([Ms[0, 1], rs - Ms[0, 0]])
     vec = vec / np.max(vec)
 
     # express the eigenpair in the closed-form parameterization for the report

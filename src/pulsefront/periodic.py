@@ -218,18 +218,18 @@ def ode_periodic_orbit(
     )
 
 
-def _imex_period(
-    params: ModelParams, u, v, length: float, n: int, steps: int, sample_every: int = 0
-):
-    """Frozen-interval period map: reset, then IMEX over (0, tau]; optionally samples from 0+."""
-    u = params.impulse(u)
-    dt = params.tau / steps
-    samples = [(0.0, u, v)] if sample_every else None
+def _imex_period(params: ModelParams, w: np.ndarray, length: float, steps: int, sample_every=0):
+    """Frozen-interval period map on the (2, n+1) densities: reset, then IMEX over
+    (0, tau]; ``w`` itself is left as it is.  Optionally samples (t, w) from 0+."""
+    w = w.copy()
+    w[0] = params.impulse(w[0])
+    dt, dxi = params.tau / steps, 1.0 / (w.shape[1] - 1)
+    samples = [(0.0, w)] if sample_every else None
     for i in range(steps):
-        u, v = imex_density_step(u, v, params, dt, 1.0 / n, length)
+        w = imex_density_step(w, params, dt, dxi, length)
         if samples is not None and (i + 1) % sample_every == 0:
-            samples.append(((i + 1) * dt, u, v))
-    return u, v, samples
+            samples.append(((i + 1) * dt, w))
+    return w, samples
 
 
 def fixed_domain_periodic(
@@ -258,18 +258,16 @@ def fixed_domain_periodic(
     lam = principal_eigenvalue_monodromy(params, interval_length).lam
     c2, c3 = density_bounds(params)
 
-    w0 = np.empty(2 * (n + 1))
-    w0[: n + 1], w0[n + 1 :] = c2, c3
-    w0[[0, n, n + 1, -1]] = 0.0
+    w0 = np.empty((2, n + 1))
+    w0[0], w0[1] = c2, c3
+    w0[:, [0, n]] = 0.0
 
-    def period_map(w: np.ndarray) -> np.ndarray:
-        un, vn, _ = _imex_period(
-            params, w[: n + 1], w[n + 1 :], interval_length, n, steps_per_period
-        )
-        return np.concatenate([un, vn])
+    def period_map(w: np.ndarray) -> np.ndarray:  # the flat Newton vector: u, then v
+        image, _ = _imex_period(params, w.reshape(2, n + 1), interval_length, steps_per_period)
+        return image.ravel()
 
     state, residual, is_positive, periods = _fixed_point(
-        period_map, w0, tol, max_periods, "fixed-domain"
+        period_map, w0.ravel(), tol, max_periods, "fixed-domain"
     )
     if is_positive != (lam < 0):
         raise NumericalError(
@@ -279,22 +277,22 @@ def fixed_domain_periodic(
         )
 
     x = np.linspace(-interval_length / 2.0, interval_length / 2.0, n + 1)
-    u, v = state[: n + 1], state[n + 1 :]
-    start = np.stack([u, v])
+    start = state.reshape(2, n + 1)
     if not is_positive:
         t = np.linspace(0.0, params.tau, 9)
-        zeros = np.zeros((t.size, n + 1))
+        U, V = np.zeros((2, t.size, n + 1))
         return PeriodicOrbit(
-            t=t, U=zeros, V=zeros.copy(), residual=residual, is_positive=False,
+            t=t, U=U, V=V, residual=residual, is_positive=False,
             periods=periods, x=x, start_pre_reset=start,
         )
 
     # sample the converged orbit over one period
-    _, _, path = _imex_period(
-        params, u, v, interval_length, n, steps_per_period, max(1, steps_per_period // 8)
+    _, path = _imex_period(
+        params, start, interval_length, steps_per_period, max(1, steps_per_period // 8)
     )
-    ts, us, vs = zip(*path)
+    ts, ws = zip(*path)
+    U, V = np.stack(ws, axis=1)
     return PeriodicOrbit(
-        t=np.array(ts), U=np.stack(us), V=np.stack(vs), residual=residual,
+        t=np.array(ts), U=U, V=V, residual=residual,
         is_positive=True, periods=periods, x=x, start_pre_reset=start,
     )

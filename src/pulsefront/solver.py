@@ -10,8 +10,9 @@ Front speeds come first each step from one-sided second-order gradients of
 the current profiles (the accuracy bottleneck of the whole scheme), the
 fronts advance by Euler or Heun, and the densities then take an IMEX step:
 diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv), advection
-and reactions explicit.  Disinfection resets u <- G(u) pointwise at every
-multiple of tau; the k = 0 reset at t = 0+ is applied as well.
+and reactions explicit.  The densities are one (2, n+1) array w (rows U, V)
+that one block-diagonal dptsv call advances.  Disinfection resets u <- G(u)
+pointwise at every multiple of tau; the k = 0 reset at t = 0+ is applied too.
 
 Runs are deterministic: identical inputs give bit-identical outputs.
 """
@@ -29,31 +30,9 @@ from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import InitialData, ModelParams, density_bounds
 
 __all__ = [
-    "SimState",
-    "SolverConfig",
-    "Snapshot",
-    "TimeSeries",
-    "Trajectory",
-    "transform_step",
-    "apply_impulse",
-    "run",
-    "imex_density_step",
+    "SolverConfig", "Snapshot", "TimeSeries", "Trajectory",
+    "transform_step", "apply_impulse", "run", "imex_density_step",
 ]
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Solution sample: fronts plus densities on the reference nodes."""
-
-    t: float
-    g: float
-    h: float
-    u: np.ndarray
-    v: np.ndarray
-
-    @property
-    def width(self) -> float:
-        return self.h - self.g
 
 
 @dataclass(frozen=True)
@@ -118,7 +97,7 @@ class TimeSeries:
 
 
 def _front_velocities(
-    u: np.ndarray, v: np.ndarray, width: float, dxi: float, mu1: float, mu2: float
+    w: np.ndarray, width: float, dxi: float, mu1: float, mu2: float
 ) -> tuple[float, float]:
     """Stefan speeds from one-sided three-point gradients; boundary values are zero.
 
@@ -126,63 +105,65 @@ def _front_velocities(
     nearly flat profile can flip the sign by a roundoff-scale amount, so the
     speeds are floored at zero rather than letting fronts retreat.
     """
-    du_right = (u[-3] - 4.0 * u[-2]) / (2.0 * dxi)
-    dv_right = (v[-3] - 4.0 * v[-2]) / (2.0 * dxi)
-    du_left = (4.0 * u[1] - u[2]) / (2.0 * dxi)
-    dv_left = (4.0 * v[1] - v[2]) / (2.0 * dxi)
+    du_right = (w[0, -3] - 4.0 * w[0, -2]) / (2.0 * dxi)
+    dv_right = (w[1, -3] - 4.0 * w[1, -2]) / (2.0 * dxi)
+    du_left = (4.0 * w[0, 1] - w[0, 2]) / (2.0 * dxi)
+    dv_left = (4.0 * w[1, 1] - w[1, 2]) / (2.0 * dxi)
     vel_h = -(mu1 * du_right + mu2 * dv_right) / width
     vel_g = -(mu1 * du_left + mu2 * dv_left) / width
     return min(vel_g, 0.0), max(vel_h, 0.0)
 
 
 def imex_density_step(
-    u: np.ndarray,
-    v: np.ndarray,
-    params: ModelParams,
-    dt: float,
-    dxi: float,
-    width_new: float,
-    vel_g: float = 0.0,
-    vel_h: float = 0.0,
-    clip_tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One IMEX update on the reference grid; also the frozen-front core.
+    w: np.ndarray, params: ModelParams, dt: float, dxi: float, width_new: float,
+    vel_g: float = 0.0, vel_h: float = 0.0, clip_tol: float = 1e-12,
+) -> np.ndarray:
+    """One IMEX update of the (2, n+1) densities; also the frozen-front core.
 
     ``vel_g``/``vel_h`` are the discrete mesh velocities over the step; pass
-    zeros for a fixed interval.  Undershoot within ``clip_tol`` times the species
-    sup-norm is clipped to zero; larger undershoot or a non-finite value aborts.
+    zeros for a fixed interval.  Both species are solved in one dptsv call on
+    the block-diagonal system: the zero coupling entry between the blocks
+    leaves the next pivot untouched and subtracts only products with zero, so
+    the result equals two separate solves (up to the sign of a zero).
+    Undershoot within ``clip_tol`` times the species sup-norm is clipped to
+    zero; larger undershoot or a non-finite value aborts.
     """
-    n = u.size - 1
+    n = w.shape[1] - 1
     adv = (dt / (2.0 * dxi * width_new)) * (vel_g + _interior_xi(n, dxi) * (vel_h - vel_g))
     diffusion = dt / (width_new * width_new * dxi * dxi)
+    u, v = w[0, 1:-1], w[1, 1:-1]
+    rhs = w[:, 1:-1] + adv * (w[:, 2:] - w[:, :-2])
+    rhs[0] += (dt * params.a12) * v - (dt * params.a11) * u
+    rhs[1] += dt * (params.growth(u) - params.a22 * v)
 
-    def advance(w: np.ndarray, d: float, reaction_dt: np.ndarray) -> np.ndarray:
-        rhs = w[1:-1] + adv * (w[2:] - w[:-2]) + reaction_dt
-        r = diffusion * d
-        diag, off = np.full(n - 1, 1.0 + 2.0 * r), np.full(n - 2, -r)  # dptsv overwrites both
-        _, _, interior, info = dptsv(diag, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve failed (dptsv info={info}, r={r:.6g})")
-        out = np.zeros_like(w)
-        out[1:-1] = interior
-        return out
+    r_u, r_v = diffusion * params.d1, diffusion * params.d2
+    m = n - 1
+    diag, off = np.empty(2 * m), np.empty(2 * m - 1)  # dptsv overwrites both
+    diag[:m], diag[m:] = 1.0 + 2.0 * r_u, 1.0 + 2.0 * r_v
+    off[: m - 1], off[m - 1], off[m:] = -r_u, 0.0, -r_v
+    _, _, interior, info = dptsv(
+        diag, off, rhs.ravel(), overwrite_d=1, overwrite_e=1, overwrite_b=1
+    )
+    if info != 0:
+        name, r = ("u", r_u) if info <= m else ("v", r_v)
+        raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
+    out = np.zeros_like(w)
+    out[:, 1:-1] = interior.reshape(2, m)
 
-    u_new = advance(u, params.d1, (dt * params.a12) * v[1:-1] - (dt * params.a11) * u[1:-1])
-    v_new = advance(v, params.d2, dt * (params.growth(u[1:-1]) - params.a22 * v[1:-1]))
-
-    for w_new, w_old, name in ((u_new, u, "u"), (v_new, v, "v")):
+    for row, name in enumerate("uv"):
+        w_new = out[row]
         low = w_new.min()
         if not (math.isfinite(low) and math.isfinite(w_new.max())):
             raise NumericalError(f"{name} is no longer finite; scheme failure")
         if low < 0.0:
-            scale = w_old.max()
+            scale = w[row].max()
             if low < -clip_tol * scale:
                 raise NumericalError(
                     f"{name} undershoot {low:.3e} exceeds the clip tolerance "
                     f"({clip_tol:.1e} * sup = {clip_tol * scale:.3e}); scheme failure"
                 )
             np.maximum(w_new, 0.0, out=w_new)
-    return u_new, v_new
+    return out
 
 
 @lru_cache(maxsize=8)
@@ -205,34 +186,31 @@ def _stability_guard(params: ModelParams, cfg: SolverConfig, dt: float, vmax: fl
         )
 
 
-def transform_step(state: SimState, params: ModelParams, cfg: SolverConfig, dt: float) -> SimState:
-    """Advance one step: front speeds, front update, then the density update."""
+def transform_step(
+    g: float, h: float, w: np.ndarray, params: ModelParams, cfg: SolverConfig, dt: float
+) -> tuple[float, float, np.ndarray]:
+    """Advance the fronts g, h and the densities w by one step: front speeds,
+    front update, then the density update.  Returns (g1, h1, w1)."""
     dxi = cfg.dxi
-    w = state.width
-    vg0, vh0 = _front_velocities(state.u, state.v, w, dxi, params.mu1, params.mu2)
-    _stability_guard(params, cfg, dt, max(-vg0, vh0), w)
+    vg0, vh0 = _front_velocities(w, h - g, dxi, params.mu1, params.mu2)
+    _stability_guard(params, cfg, dt, max(-vg0, vh0), h - g)
 
-    g1, h1 = state.g + dt * vg0, state.h + dt * vh0
+    g1, h1 = g + dt * vg0, h + dt * vh0
     if cfg.front_update == "heun":
-        up, vp = imex_density_step(
-            state.u, state.v, params, dt, dxi, h1 - g1, vg0, vh0, cfg.negative_clip_tol
-        )
-        vg1, vh1 = _front_velocities(up, vp, h1 - g1, dxi, params.mu1, params.mu2)
-        g1 = state.g + 0.5 * dt * (vg0 + vg1)
-        h1 = state.h + 0.5 * dt * (vh0 + vh1)
+        wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, cfg.negative_clip_tol)
+        vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
+        g1 = g + 0.5 * dt * (vg0 + vg1)
+        h1 = h + 0.5 * dt * (vh0 + vh1)
 
-    vg = (g1 - state.g) / dt
-    vh = (h1 - state.h) / dt
+    vg = (g1 - g) / dt
+    vh = (h1 - h) / dt
     _stability_guard(params, cfg, dt, max(-vg, vh), h1 - g1)
-    u1, v1 = imex_density_step(
-        state.u, state.v, params, dt, dxi, h1 - g1, vg, vh, cfg.negative_clip_tol
-    )
-    return SimState(t=state.t + dt, g=g1, h=h1, u=u1, v=v1)
+    return g1, h1, imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh, cfg.negative_clip_tol)
 
 
-def apply_impulse(state: SimState, params: ModelParams) -> SimState:
-    """Pointwise reset u <- G(u); v and the fronts are untouched."""
-    return SimState(t=state.t, g=state.g, h=state.h, u=params.impulse(state.u), v=state.v)
+def apply_impulse(w: np.ndarray, params: ModelParams) -> None:
+    """Pointwise reset u <- G(u) of row 0 in place; v and the fronts are untouched."""
+    w[0] = params.impulse(w[0])
 
 
 class Trajectory:
@@ -247,8 +225,9 @@ class Trajectory:
     never a post-reset state.  Density sup-norms are checked each step against
     the uniform supersolution constants derived from the coefficients.
 
-    ``t_end`` sizes the record arrays and sets ``n_steps``; advancing beyond
-    it grows them.
+    The state is the fronts ``g``, ``h`` and the (2, n+1) densities ``w``
+    (rows u, v).  ``t_end`` sizes the record arrays and sets ``n_steps``;
+    advancing beyond it grows them.
     """
 
     def __init__(
@@ -259,25 +238,26 @@ class Trajectory:
         t_end: float,
         snapshot_times: tuple[float, ...] = (),
     ):
-        if not t_end > 0:
-            raise PreconditionError(f"t_end must be positive, got {t_end}")
+        if not (math.isfinite(t_end) and t_end > 0):
+            raise PreconditionError(f"t_end must be finite and positive, got {t_end}")
         self.params, self.cfg = params, cfg
         self.dt = params.tau / cfg.steps_per_period
-        self.n_steps = self.steps_to(t_end)
         self.c2, self.c3 = density_bounds(params, init)
         self._xi = cfg.xi
 
-        x0 = -params.h0 + self._xi * (2.0 * params.h0)
-        u, v = init.sample(x0)
-        if np.any(u < 0) or np.any(v < 0):
+        self.w = np.array(init.sample(-params.h0 + self._xi * (2.0 * params.h0)))
+        if np.any(self.w < 0):
             raise ConfigurationError("initial densities must be non-negative")
-        u = u.copy()
-        v = v.copy()
-        u[0] = u[-1] = 0.0
-        v[0] = v[-1] = 0.0
-        self.state = SimState(t=0.0, g=-params.h0, h=params.h0, u=u, v=v)
+        self.w[:, 0] = self.w[:, -1] = 0.0
+        self.g, self.h = -params.h0, params.h0
         self.step = 0
-        self._rec = np.empty((5, self.n_steps + 1))  # rows t, g, h, sup_u, sup_v
+        try:
+            self.n_steps = self.steps_to(t_end)
+            self._rec = np.empty((5, self.n_steps + 1))  # rows t, g, h, sup_u, sup_v
+        except (ZeroDivisionError, OverflowError, ValueError, MemoryError):
+            raise PreconditionError(
+                f"t_end={t_end:g} takes more steps of dt={self.dt:.3g} than can be recorded"
+            ) from None
         self._snaps: list[Snapshot] = []
         self._pending = sorted(float(s) for s in snapshot_times)
         self._record()
@@ -287,18 +267,17 @@ class Trajectory:
         return int(math.ceil(t_end / self.dt - 1e-9))
 
     def _record(self):
-        i, s, dt = self.step, self.state, self.dt
+        i, w, dt = self.step, self.w, self.dt
         rec = self._rec
         rec[0, i] = i * dt
-        rec[1, i] = s.g
-        rec[2, i] = s.h
-        rec[3, i] = s.u.max()
-        rec[4, i] = s.v.max()
+        rec[1, i] = self.g
+        rec[2, i] = self.h
+        rec[3, i] = w[0].max()
+        rec[4, i] = w[1].max()
         while self._pending and i * dt >= self._pending[0] - 0.5 * dt:
             self._pending.pop(0)
-            self._snaps.append(
-                Snapshot(t=i * dt, x=s.g + self._xi * s.width, u=s.u.copy(), v=s.v.copy())
-            )
+            x = self.g + self._xi * (self.h - self.g)
+            self._snaps.append(Snapshot(t=i * dt, x=x, u=w[0].copy(), v=w[1].copy()))
 
     def advance(self, to_step: int) -> None:
         """Integrate from the current step up to step ``to_step``."""
@@ -310,8 +289,8 @@ class Trajectory:
         rec = self._rec
         while self.step < to_step:
             if self.step % m == 0:
-                self.state = apply_impulse(self.state, params)
-            self.state = transform_step(self.state, params, cfg, dt)
+                apply_impulse(self.w, params)
+            self.g, self.h, self.w = transform_step(self.g, self.h, self.w, params, cfg, dt)
             self.step += 1
             self._record()
             i = self.step

@@ -145,6 +145,23 @@ def test_bisect_threshold_rejects_tol_below_float_spacing():
     assert 0 < hi - lo <= math.ulp(10.0) and lo < 3.7 <= hi
 
 
+def test_bisect_threshold_midpoint_does_not_overflow():
+    # lo + hi overflows to inf near the top of the float range; the midpoint
+    # 0.5*lo + 0.5*hi cannot, and equals 0.5*(lo + hi) wherever that is finite
+    probes = []
+
+    def evaluate(x):
+        probes.append(x)
+        assert len(probes) < 100, "bisection does not end"
+        return Verdict.VANISHING if x < 1.3e308 else Verdict.SPREADING
+
+    result = _bisect_threshold(evaluate, 1e308, 1.7e308, 1e300, "x")
+    assert all(math.isfinite(x) for x in probes)
+    assert math.isfinite(result.value)
+    lo, hi = result.bracket
+    assert hi - lo <= 1e300 and lo < 1.3e308 <= hi and lo <= result.value <= hi
+
+
 def test_threshold_search_computes_critical_length_once(params_benchmark, init_cos, monkeypatch):
     import pulsefront.classify as classify
 

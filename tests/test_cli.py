@@ -179,6 +179,41 @@ def test_cli_eigen_json(config_path, capsys):
     assert payload["lambda0"] == 0.0
 
 
+@given(st.floats())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cli_eigen_interval_exit_contract(tmp_path_factory, interval):
+    # nan, +-inf, subnormals and lengths near the float limits: short
+    # intervals overflow (pi/L)^2 (exit 4) or exp(B*tau) (exit 3), and
+    # every number of a report that is printed is finite
+    config = tmp_path_factory.getbasetemp() / "eigen.json"
+    config.write_text(json.dumps(small_config_dict()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["eigen", "--config", str(config), f"--interval={interval!r}"])
+    assert code in (0, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        payload = json.loads(out.getvalue())
+        assert all(math.isfinite(v) for v in payload.values() if not isinstance(v, str))
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["eigen", "--interval", "0.05"], 3),  # exp(B*tau) underflows to zero
+        (["eigen", "--interval", "1e-200"], 4),  # (pi/L)^2 overflows
+        (["sweep", "--axis", "h0", "--values", "1e-200"], 4),
+        (["sweep", "--axis", "tau", "--values", "20000"], 3),  # exp(B*tau) overflows
+        (["simulate", "--t-end", "inf"], 4),
+        (["simulate", "--t-end", "1e300"], 4),  # more steps than an array can hold
+    ],
+)
+def test_cli_out_of_range_inputs_exit_cleanly(config_path, capsys, argv, code):
+    assert main([argv[0], "--config", str(config_path)] + argv[1:]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("numerical failure: ", "precondition error: ")) and err.count("\n") == 1
+
+
 def test_cli_eigen_bad_interval(config_path, capsys):
     assert main(["eigen", "--config", str(config_path), "--interval", "wat"]) == 2
 

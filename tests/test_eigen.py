@@ -13,7 +13,7 @@ from pulsefront.eigen import (
     principal_eigenvalue_monodromy,
     robin_eigen,
 )
-from pulsefront.errors import PreconditionError
+from pulsefront.errors import NumericalError, PreconditionError
 from pulsefront.model import IdentityImpulse, LinearImpulse, SaturatingImpulse
 
 from conftest import random_valid_params
@@ -30,6 +30,24 @@ def test_dirichlet_lambda0_closed_form():
         dirichlet_lambda0(0.0)
     with pytest.raises(PreconditionError):
         dirichlet_lambda0(math.inf)
+
+
+def test_short_interval_monodromy_in_range():
+    # on the fig-c/d set at L = 0.1 the entries of exp(B*tau) are ~1e-215:
+    # tr^2 of the unscaled matrix underflowed and gave r = tr/2 (lambda
+    # 99.1345); the rescaled Perron root matches the closed form again
+    from pulsefront.presets import base_params_cd
+
+    p = base_params_cd(1.0)
+    for length in (0.1, 0.12):
+        lam = principal_eigenvalue_monodromy(p, length).lam
+        assert lam == pytest.approx(principal_eigenvalue_closed_form(p, length).lam, rel=1e-13)
+    with pytest.raises(NumericalError, match="underflows"):
+        principal_eigenvalue_monodromy(p, 0.05)
+    with pytest.raises(NumericalError, match="overflows"):
+        principal_eigenvalue_monodromy(p.with_(tau=20000.0), math.inf)
+    with pytest.raises(PreconditionError, match="too short"):
+        principal_eigenvalue_monodromy(p, 1e-200)
 
 
 def test_identity_impulse_reduces_to_matrix_eigenvalue(params_benchmark):

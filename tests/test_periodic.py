@@ -207,8 +207,8 @@ def test_fixed_domain_orbit_matches_picard_reference(params_benchmark, case):
     start[0, 1:-1], start[1, 1:-1] = c2, c3
 
     def period_map(w):
-        u, v, _ = _imex_period(p, w[0], w[1], length, n, steps)
-        return np.stack([u, v])
+        image, _ = _imex_period(p, w, length, steps)
+        return image
 
     reference = _picard(period_map, start)
     assert orbit.is_positive == (np.max(reference) > 1e-6)

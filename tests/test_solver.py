@@ -4,7 +4,6 @@ import pytest
 from pulsefront.errors import ConfigurationError, NumericalError
 from pulsefront.model import InitialData
 from pulsefront.solver import (
-    SimState,
     SolverConfig,
     Trajectory,
     apply_impulse,
@@ -38,31 +37,32 @@ def test_apply_impulse_pointwise(params_benchmark):
 
     u = np.array([0.0, 2.0, 4.0, 2.0, 0.0])
     v = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
-    state = SimState(t=5.0, g=-2.0, h=2.0, u=u, v=v)
 
-    same = apply_impulse(state, params_benchmark)  # identity
-    assert np.array_equal(same.u, u) and np.array_equal(same.v, v)
+    same = np.array([u, v])
+    apply_impulse(same, params_benchmark)  # identity
+    assert np.array_equal(same[0], u) and np.array_equal(same[1], v)
 
-    halved = apply_impulse(state, params_benchmark.with_(impulse=LinearImpulse(rho=0.5)))
-    assert np.array_equal(halved.u, np.array([0.0, 1.0, 2.0, 1.0, 0.0]))
-    assert np.array_equal(halved.v, v)
+    halved = np.array([u, v])
+    apply_impulse(halved, params_benchmark.with_(impulse=LinearImpulse(rho=0.5)))
+    assert np.array_equal(halved[0], np.array([0.0, 1.0, 2.0, 1.0, 0.0]))
+    assert np.array_equal(halved[1], v)
 
     sat = params_benchmark.with_(impulse=SaturatingImpulse(c=0.5, b=10.0))
-    state10 = SimState(t=5.0, g=-2.0, h=2.0, u=np.array([0.0, 10.0, 0.0]), v=v[:3])
-    assert apply_impulse(state10, sat).u[1] == pytest.approx(0.25)
-    assert apply_impulse(state10, sat).u[0] == 0.0
+    w10 = np.array([[0.0, 10.0, 0.0], v[:3]])
+    apply_impulse(w10, sat)
+    assert w10[0, 1] == pytest.approx(0.25)
+    assert w10[0, 0] == 0.0
 
 
 def test_single_step_symmetry(params_benchmark, init_cos):
     cfg = SolverConfig(n=128, steps_per_period=1000)
     x0 = -2.0 + SolverConfig(n=128).xi * 4.0
-    u, v = init_cos.sample(x0)
-    u[0] = u[-1] = v[0] = v[-1] = 0.0
-    state = SimState(t=0.0, g=-2.0, h=2.0, u=u, v=v)
-    nxt = transform_step(state, params_benchmark, cfg, 0.005)
-    assert nxt.g + nxt.h == pytest.approx(0.0, abs=1e-15)
-    assert nxt.h > 2.0
-    assert np.max(np.abs(nxt.u - nxt.u[::-1])) < 1e-15
+    w = np.array(init_cos.sample(x0))
+    w[:, 0] = w[:, -1] = 0.0
+    g1, h1, w1 = transform_step(-2.0, 2.0, w, params_benchmark, cfg, 0.005)
+    assert g1 + h1 == pytest.approx(0.0, abs=1e-15)
+    assert h1 > 2.0
+    assert np.max(np.abs(w1[0] - w1[0][::-1])) < 1e-15
 
 
 def test_symmetry_preserved_along_run(params_benchmark, init_cos):
@@ -92,13 +92,13 @@ def test_frozen_capacities_match_fixed_domain_core(params_benchmark, init_cos):
     series = run(p0, init_cos, cfg, 5.0, snapshot_times=(5.0,))
     assert series.h[-1] == 2.0 and series.g[-1] == -2.0
 
-    u, v = init_cos.sample(np.linspace(-2.0, 2.0, 257))
-    u[0] = u[-1] = v[0] = v[-1] = 0.0
+    w = np.array(init_cos.sample(np.linspace(-2.0, 2.0, 257)))
+    w[:, 0] = w[:, -1] = 0.0
     dt = 5.0 / 2000
     for _ in range(2000):
-        u, v = imex_density_step(u, v, p0, dt, 1.0 / 256, 4.0)
-    assert np.array_equal(u, series.snapshots[-1].u)
-    assert np.array_equal(v, series.snapshots[-1].v)
+        w = imex_density_step(w, p0, dt, 1.0 / 256, 4.0)
+    assert np.array_equal(w[0], series.snapshots[-1].u)
+    assert np.array_equal(w[1], series.snapshots[-1].v)
 
 
 def test_stability_guard_names_the_pair(params_benchmark, init_cos):
@@ -118,8 +118,8 @@ def test_undershoot_abort():
     u = np.minimum(xi, 1.0 - xi)
     v = u.copy()
     with pytest.raises(NumericalError, match="undershoot"):
-        imex_density_step(u, v, base_params_a(), dt=0.2, dxi=1.0 / n, width_new=4.0,
-                          vel_g=0.0, vel_h=12.0)
+        imex_density_step(np.array([u, v]), base_params_a(), dt=0.2, dxi=1.0 / n,
+                          width_new=4.0, vel_g=0.0, vel_h=12.0)
 
 
 def test_euler_front_update(params_benchmark, init_cos):
@@ -160,17 +160,16 @@ def _reference_records(params, init, cfg, t_end):
     steps_per_period-th step but the last; rows t, g, h, sup_u, sup_v."""
     dt = params.tau / cfg.steps_per_period
     n_steps = int(np.ceil(t_end / dt - 1e-9))
-    u, v = init.sample(-params.h0 + cfg.xi * (2.0 * params.h0))
-    u, v = u.copy(), v.copy()
-    u[0] = u[-1] = v[0] = v[-1] = 0.0
-    state = SimState(t=0.0, g=-params.h0, h=params.h0, u=u, v=v)
-    rows = [(0.0, state.g, state.h, u.max(), v.max())]
-    state = apply_impulse(state, params)
+    w = np.array(init.sample(-params.h0 + cfg.xi * (2.0 * params.h0)))
+    w[:, 0] = w[:, -1] = 0.0
+    g, h = -params.h0, params.h0
+    rows = [(0.0, g, h, w[0].max(), w[1].max())]
+    apply_impulse(w, params)
     for i in range(1, n_steps + 1):
-        state = transform_step(state, params, cfg, dt)
-        rows.append((i * dt, state.g, state.h, state.u.max(), state.v.max()))
+        g, h, w = transform_step(g, h, w, params, cfg, dt)
+        rows.append((i * dt, g, h, w[0].max(), w[1].max()))
         if i % cfg.steps_per_period == 0 and i < n_steps:
-            state = apply_impulse(state, params)
+            apply_impulse(w, params)
     return np.array(rows).T
 
 
@@ -225,7 +224,7 @@ def test_imex_step_matches_dense_solve(params_benchmark, init_cos):
     u, v = init_cos.sample(-2.0 + 4.0 * xi)
     u, v = u * (1.0 + xi), v * (2.0 - xi)  # break the mirror symmetry
     u[0] = u[-1] = v[0] = v[-1] = 0.0
-    u_new, v_new = imex_density_step(u, v, p, dt, dxi, width, vel_g, vel_h)
+    u_new, v_new = imex_density_step(np.array([u, v]), p, dt, dxi, width, vel_g, vel_h)
 
     adv = (vel_g + xi[1:-1] * (vel_h - vel_g)) / width
     cases = (
@@ -241,7 +240,48 @@ def test_imex_step_matches_dense_solve(params_benchmark, init_cos):
         assert np.max(np.abs(w_new[1:-1] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [32, 128])
+def test_block_solve_equals_per_species_solves(params_benchmark, n):
+    # the kernel solves u and v in one block-diagonal dptsv call; the two
+    # per-species solves it replaces, written out here, must give the same
+    # bits (the sign of zero included) for diffusion numbers r in [0.5, 50]
+    from scipy.linalg.lapack import dptsv
+
+    rng = np.random.default_rng(n)
+    dt, dxi, width, vel_g, vel_h = 0.01, 1.0 / n, 3.7, -0.4, 0.9
+    xi = np.linspace(0.0, 1.0, n + 1)
+    inner = np.arange(1, n) * dxi
+    for r_u, r_v in rng.uniform(0.5, 50.0, size=(6, 2)):
+        scale = (width * dxi) ** 2 / dt
+        p = params_benchmark.with_(d1=r_u * scale, d2=r_v * scale)
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
+        u = np.sin(np.pi * xi) * (1.5 + np.sin(3.0 * xi + phase[0]))
+        v = np.sin(np.pi * xi) ** 2 * (1.5 + np.sin(5.0 * xi + phase[1]))
+
+        adv = (dt / (2.0 * dxi * width)) * (vel_g + inner * (vel_h - vel_g))
+        diffusion = dt / (width * width * dxi * dxi)
+        expected = []
+        for w, d, reaction_dt in (
+            (u, p.d1, (dt * p.a12) * v[1:-1] - (dt * p.a11) * u[1:-1]),
+            (v, p.d2, dt * (p.growth(u[1:-1]) - p.a22 * v[1:-1])),
+        ):
+            rhs = w[1:-1] + adv * (w[2:] - w[:-2]) + reaction_dt
+            r = diffusion * d
+            _, _, x, info = dptsv(np.full(n - 1, 1.0 + 2.0 * r), np.full(n - 2, -r), rhs)
+            assert info == 0 and x.min() > 0.0
+            expected.append(np.concatenate([[0.0], x, [0.0]]))
+
+        got = imex_density_step(np.array([u, v]), p, dt, dxi, width, vel_g, vel_h)
+        assert got.shape == (2, n + 1)
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+
+
+# inf - inf in the advection difference warns before the kernel's own check
+# rejects the state; every other test runs with RuntimeWarning as an error
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, pytest.param(np.inf, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))],
+)
 def test_nonfinite_density_aborts(params_benchmark, bad):
     # every other guard is a comparison, which NaN fails: the kernel itself
     # must refuse a non-finite state
@@ -251,7 +291,7 @@ def test_nonfinite_density_aborts(params_benchmark, bad):
     v = 0.5 * u
     u[n // 2] = bad
     with pytest.raises(NumericalError, match="finite"):
-        imex_density_step(u, v, params_benchmark, 0.01, 1.0 / n, 4.0)
+        imex_density_step(np.array([u, v]), params_benchmark, 0.01, 1.0 / n, 4.0)
 
 
 def test_run_rejects_nan_initial_data(params_benchmark, init_cos):
@@ -271,11 +311,11 @@ def test_stability_guard_checks_corrected_speeds(params_benchmark, init_cos, mon
     speeds = iter([(-0.1, 0.1), (-0.1, 20.0)])
     monkeypatch.setattr(solver, "_front_velocities", lambda *args: next(speeds))
     x0 = -2.0 + SolverConfig(n=128).xi * 4.0
-    u, v = init_cos.sample(x0)
-    u[0] = u[-1] = v[0] = v[-1] = 0.0
-    state = SimState(t=0.0, g=-2.0, h=2.0, u=u, v=v)
+    w = np.array(init_cos.sample(x0))
+    w[:, 0] = w[:, -1] = 0.0
     with pytest.raises(ConfigurationError, match="explicit advection unstable"):
-        transform_step(state, params_benchmark, SolverConfig(n=128, steps_per_period=1000), 0.005)
+        transform_step(-2.0, 2.0, w, params_benchmark, SolverConfig(n=128, steps_per_period=1000),
+                       0.005)
 
 
 def test_indefinite_diffusion_system_aborts(params_benchmark):
@@ -284,4 +324,4 @@ def test_indefinite_diffusion_system_aborts(params_benchmark):
     xi = np.linspace(0.0, 1.0, 33)
     u = np.sin(np.pi * xi)
     with pytest.raises(NumericalError, match="dptsv info="):
-        imex_density_step(u, u.copy(), params_benchmark, -1.0, 1.0 / 32, 4.0)
+        imex_density_step(np.array([u, u]), params_benchmark, -1.0, 1.0 / 32, 4.0)
