@@ -110,6 +110,21 @@ def classify_analytic(params: ModelParams) -> Classification:
     return Classification(verdict=verdict, lambda_infinity=lam_inf, lambda_h0=lam_h0)
 
 
+def _check_tol(tol: float, lo: float, hi: float, what: str) -> None:
+    """Reject a bisection tolerance that is not finite and positive, or that
+    the bracket (lo, hi) cannot reach."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol must be finite and positive, got {tol}")
+    # adjacent floats of the bracket lie at most one spacing of its larger end
+    # apart; a tol below that is never reached, since their midpoint is one of them
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if tol < spacing:
+        raise PreconditionError(
+            f"tol {tol:g} is below the float spacing {spacing:g} of the {what} bracket "
+            f"({lo:g}, {hi:g}); bisection cannot reach it"
+        )
+
+
 def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
     """Interval width at which the frozen-interval eigenvalue crosses zero.
 
@@ -132,6 +147,7 @@ def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
         lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             raise NumericalError("no sign change found while expanding the width bracket")
+    _check_tol(tol, lo, hi, "width")
     while hi - lo > tol:
         mid = 0.5 * lo + 0.5 * hi
         if principal_eigenvalue_monodromy(params, mid).lam > 0:
@@ -275,16 +291,7 @@ def _bisect_threshold(
 ) -> ThresholdResult:
     if not (lo < hi):
         raise PreconditionError(f"degenerate {what} bracket: lo={lo}, hi={hi}")
-    if not tol > 0:
-        raise PreconditionError("tol must be positive")
-    # adjacent floats of the bracket lie at most one spacing of its larger end
-    # apart; a tol below that is never reached, since their midpoint is one of them
-    spacing = math.ulp(max(abs(lo), abs(hi)))
-    if tol < spacing:
-        raise PreconditionError(
-            f"tol {tol:g} is below the float spacing {spacing:g} of the {what} bracket "
-            f"({lo:g}, {hi:g}); bisection cannot reach it"
-        )
+    _check_tol(tol, lo, hi, what)
     history: list[tuple[float, Verdict]] = []
     brackets: list[tuple[float, float]] = []
 

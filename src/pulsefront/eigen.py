@@ -13,8 +13,9 @@ periodicity.  Two independent routes compute the principal eigenvalue:
 monodromy
     Periodicity forces exp(-lambda*tau) to be the Perron root of
     M = exp(B*tau) @ diag(G'(0), 1); B is cooperative, so M is entrywise
-    positive and the root is simple with a positive eigenvector.  This is
-    the production path.
+    positive and the root is simple with a positive eigenvector.  The root
+    is taken of the bounded K = e^{-c1 tau} M, so the route covers every
+    interval.  This is the production path.
 
 closed form
     Expanding in the eigenmodes of B (eigenvalues c1 > c2, both independent
@@ -67,7 +68,8 @@ class EigenReport:
     phi_psi_profile samples (t, Phi(t), Psi(t)) on [0, tau]; the t = 0 row is
                     the post-reset state, the t = tau row the periodic one
     monodromy_matrix, eigenvector
-                    exp(B*tau) @ D and its Perron eigenvector (monodromy route)
+                    exp(B*tau) @ D = e^{c1 tau} K (report only: may be 0 or
+                    inf) and its Perron eigenvector (monodromy route)
     """
 
     lam: float
@@ -121,45 +123,41 @@ def _slopes(params: ModelParams) -> tuple[float, float]:
     return fp0, gp0
 
 
-def _shifts(params: ModelParams, lambda0: float) -> tuple[float, float]:
-    """Eigenvalues c1 > c2 of the cooperative matrix B; always real and distinct."""
+def _shifts(params: ModelParams, lambda0: float) -> tuple[float, float, float, float]:
+    """Eigenvalues c1 > c2 of the cooperative matrix B, always real and
+    distinct, and the gaps gap = B[0, 0] - c2 and n12 = c1 - B[0, 0].
+
+    The gaps are positive, gap + n12 = c1 - c2 and gap * n12 = a12 * f'(0);
+    they are formed without the cancellation that c1 - c2 or a11 + d1*lambda0
+    + c1 suffer once d*lambda0 dwarfs the other coefficients.
+    """
     fp0, _ = _slopes(params)
-    s = params.a22 + (params.d2 - params.d1) * lambda0 - params.a11
-    root = math.sqrt(s * s + 4.0 * params.a12 * fp0)
+    s = params.a22 + (params.d2 - params.d1) * lambda0 - params.a11  # B[0, 0] - B[1, 1]
+    root = math.hypot(s, 2.0 * math.sqrt(params.a12 * fp0))
     base = -(params.d1 + params.d2) * lambda0 - params.a11 - params.a22
-    return (base + root) / 2.0, (base - root) / 2.0
+    c1, c2 = (base + root) / 2.0, (base - root) / 2.0
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise NumericalError(f"eigenvalues of B leave the float range (lambda0 = {lambda0:.6g})")
+    # the gaps are (root + s)/2 and (root - s)/2: form the larger, divide for the other
+    big = 0.5 * root + 0.5 * abs(s)
+    small = params.a12 * fp0 / big
+    return (c1, c2, big, small) if s > 0 else (c1, c2, small, big)
 
 
-def _cooperative_matrix(params: ModelParams, lambda0: float) -> np.ndarray:
-    fp0, _ = _slopes(params)
-    return np.array(
-        [
-            [-params.d1 * lambda0 - params.a11, params.a12],
-            [fp0, -params.d2 * lambda0 - params.a22],
-        ]
-    )
-
-
-def _expm2(B: np.ndarray, c1: float, c2: float, t: float) -> np.ndarray:
-    # Lagrange form of the 2x2 exponential; c1 != c2 is guaranteed because
-    # the discriminant contains 4*a12*f'(0) > 0.
-    I = np.eye(2)
-    return (math.exp(c1 * t) * (B - c2 * I) - math.exp(c2 * t) * (B - c1 * I)) / (c1 - c2)
-
-
-def _profile(params: ModelParams, lambda0: float, lam: float, k0: float) -> np.ndarray:
+def _profile(params: ModelParams, lambda0: float, y0: float, k0: float) -> np.ndarray:
     """Sampled (t, Phi, Psi) on [0, tau] in the standard normalization.
 
     Phi(t) = [a12 e^{k1 t} - n12 k0 e^{k2 t}] / (a12 f'(0) + n12^2), with
-    n12 = a11 + d1*lambda0 + c1 and Psi the matching second component.
+    k1 = lam + c1 = ln(y0)/tau, k2 = k1 - (c1 - c2) and Psi the matching
+    second component.
     """
     fp0, _ = _slopes(params)
-    c1, c2 = _shifts(params, lambda0)
-    n12 = params.a11 + params.d1 * lambda0 + c1
+    _, _, gap, n12 = _shifts(params, lambda0)
     det = params.a12 * fp0 + n12 * n12
-    k1, k2 = lam + c1, lam + c2
+    k1 = math.log(y0) / params.tau
     t = np.linspace(0.0, params.tau, PROFILE_SAMPLES)
-    e1, e2 = np.exp(k1 * t), np.exp(k2 * t)
+    with np.errstate(over="ignore"):  # k2*t may overflow to -inf, where e^{k2 t} is 0
+        e1, e2 = np.exp(k1 * t), np.exp((k1 - (gap + n12)) * t)
     phi = (params.a12 * e1 - n12 * k0 * e2) / det
     psi = (fp0 * k0 * e2 + n12 * e1) / det
     return np.column_stack([t, phi, psi])
@@ -168,8 +166,13 @@ def _profile(params: ModelParams, lambda0: float, lam: float, k0: float) -> np.n
 def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) -> EigenReport:
     """Perron-root route: lambda = -ln r(exp(B*tau) @ diag(G'(0), 1)) / tau.
 
-    ``interval_length`` may be ``math.inf``, in which case lambda0 = 0 exactly
-    (the whole-line value needs no numerical limit).
+    exp(B*tau) = e^{c1 tau} K0 with K0 = [(B - c2 I) - E (B - c1 I)]/(c1 - c2)
+    and E = e^{(c2 - c1) tau} in [0, 1), so lambda = -c1 - ln r(K)/tau for
+    K = K0 @ diag(G'(0), 1), whose Perron root lies between G'(0) and 1.
+    e^{c1 tau} is never formed, so lambda is in float range on every interval.
+    The diagonals of B - c2 I and B - c1 I are the gaps (gap, n12) and
+    (-n12, -gap) of ``_shifts``, so K0 has no cancellation either.
+    ``interval_length`` may be ``math.inf``, in which case lambda0 = 0 exactly.
     """
     if interval_length != math.inf and not interval_length > 0:
         raise PreconditionError(f"interval length must be positive or inf, got {interval_length}")
@@ -178,43 +181,25 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
     fp0, gp0 = _slopes(params)
     if not gp0 > 0:
         raise PreconditionError("impulse slope G'(0) must be positive")
-    B = _cooperative_matrix(params, lambda0)
-    c1, c2 = _shifts(params, lambda0)
-    # lambda = -ln r / tau for the Perron root r of M = 2^e * Ms, where 2^e is
-    # the binade of max|M|: tr^2 and det of Ms cannot under- or overflow, and
-    # scaling by a power of two is exact, so r is unchanged wherever the
-    # unscaled formula was in range
-    def out_of_range(what: str) -> NumericalError:
-        c1_tau = c1 * params.tau
-        return NumericalError(f"monodromy matrix exp(B*tau) {what} (c1*tau = {c1_tau:.6g})")
-
-    try:
-        with np.errstate(all="ignore"):  # a non-finite M is reported below
-            M = _expm2(B, c1, c2, params.tau) @ np.diag([gp0, 1.0])
-    except OverflowError:
-        raise out_of_range("overflows") from None
-    mantissa, e = math.frexp(float(np.abs(M).max()))
-    if not math.isfinite(mantissa) or e > 1022:  # r < 2 * max|M| must stay finite
-        raise out_of_range("overflows")
-    Ms = np.ldexp(M, -e)
-    tr = Ms[0, 0] + Ms[1, 1]
-    det = Ms[0, 0] * Ms[1, 1] - Ms[0, 1] * Ms[1, 0]
-    rs = (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0))) / 2.0
-    r = math.ldexp(rs, e)
-    if r == 0.0:
-        raise out_of_range("underflows to zero")
-    lam = -math.log(r) / params.tau
-    vec = np.array([Ms[0, 1], rs - Ms[0, 0]])
-    vec = vec / np.max(vec)
+    c1, c2, gap, n12 = _shifts(params, lambda0)
+    root = gap + n12  # c1 - c2
+    E, one_minus_E = math.exp(-root * params.tau), -math.expm1(-root * params.tau)
+    K0 = np.array([[gap + E * n12, params.a12 * one_minus_E], [fp0 * one_minus_E, n12 + E * gap]])
+    K = K0 / root @ np.diag([gp0, 1.0])
+    (k00, k01), (k10, k11) = K
+    r = (k00 + k11 + math.hypot(k00 - k11, 2.0 * math.sqrt(k01 * k10))) / 2.0
+    lam = -c1 - math.log(r) / params.tau
+    # the eigenvector form that does not cancel r against the larger diagonal entry
+    vec = np.array([k01, r - k00] if k11 > k00 else [r - k11, k10])
 
     # express the eigenpair in the closed-form parameterization for the report
-    n12 = params.a11 + params.d1 * lambda0 + c1
-    E = math.exp((c2 - c1) * params.tau)
-    y0 = math.exp((lam + c1) * params.tau)
+    y0 = 1.0 / r
     if abs(1.0 - y0) < 1e-14:  # identity-slope reset: constant-in-time mode
         k0, y0 = 0.0, 1.0
     else:
         k0 = n12 * (y0 - 1.0) / (fp0 - fp0 * E * y0)
+    with np.errstate(all="ignore"):  # report only: e^{c1 tau} may leave the float range
+        M = np.exp(c1 * params.tau) * K
     return EigenReport(
         lam=lam,
         method="monodromy",
@@ -223,9 +208,9 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
         c2=c2,
         k0=k0,
         y0=y0,
-        phi_psi_profile=_profile(params, lambda0, lam, k0),
+        phi_psi_profile=_profile(params, lambda0, y0, k0),
         monodromy_matrix=M,
-        eigenvector=vec,
+        eigenvector=vec / vec.max(),
     )
 
 
@@ -245,12 +230,11 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
         raise PreconditionError(f"closed-form route needs G'(0) in (0, 1], got {gp0}")
 
     lambda0 = dirichlet_lambda0(interval_length)
-    c1, c2 = _shifts(params, lambda0)
+    c1, c2, _, n12 = _shifts(params, lambda0)
     tau = params.tau
     E = math.exp((c2 - c1) * tau)
 
     n11 = params.a12
-    n12 = params.a11 + params.d1 * lambda0 + c1
     n13 = gp0 * params.a12
     n21 = fp0
     n22 = fp0 * E
@@ -293,7 +277,7 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
         c2=c2,
         k0=k0,
         y0=y0,
-        phi_psi_profile=_profile(params, lambda0, lam, k0),
+        phi_psi_profile=_profile(params, lambda0, y0, k0),
     )
 
 
@@ -320,7 +304,8 @@ def eigenfunction_envelope_bounds(params: ModelParams) -> tuple[float, float, fl
     For every interval at least as wide as the initial one, the normalized
     temporal profile satisfies alpha1 <= Phi(0), Phi(t) <= alpha2,
     beta1 <= Psi(0), Psi(t) <= beta2 on [0, tau].  All four are explicit in
-    the coefficients and the initial-width spatial eigenvalue.
+    the coefficients and the initial-width spatial eigenvalue.  Raises
+    NumericalError when one of them leaves the float range.
     """
     fp0, gp0 = _slopes(params)
     if not (0.0 < gp0 <= 1.0):
@@ -328,14 +313,16 @@ def eigenfunction_envelope_bounds(params: ModelParams) -> tuple[float, float, fl
     lam0_h0 = dirichlet_lambda0(2.0 * params.h0)
     root = math.sqrt(params.a12 * fp0)
     spread = 2.0 * root + params.a11 + params.a22 + (params.d1 + params.d2) * lam0_h0
-    alpha2 = math.exp(spread * params.tau) / fp0
+    with np.errstate(over="ignore"):  # an infinite bound is reported below
+        alpha2 = float(np.exp(spread * params.tau)) / fp0
     beta2 = fp0 * alpha2 / params.a11
     q = params.a11 + params.a22 + (params.d1 + params.d2) * lam0_h0 + root
     denom = params.a12 * fp0 + q * q
     eps0 = min(params.a12 / 2.0, params.a12 * gp0 * (1.0 - math.exp(-2.0 * root * params.tau)))
-    alpha1 = eps0 / denom
-    beta1 = params.a11 / denom
-    return alpha1, alpha2, beta1, beta2
+    bounds = (eps0 / denom, alpha2, params.a11 / denom, beta2)  # alpha1, alpha2, beta1, beta2
+    if not all(math.isfinite(b) for b in bounds):
+        raise NumericalError(f"envelope bounds overflow (spread*tau = {spread * params.tau:.6g})")
+    return bounds
 
 
 def robin_eigen(d: float, nodes: int = 1001) -> RobinEigenReport:

@@ -70,6 +70,11 @@ def test_critical_length_preconditions(params_benchmark, params_disinfected):
         critical_length(params_disinfected)
     with pytest.raises(PreconditionError, match="initial-interval"):
         critical_length(params_benchmark.with_(h0=100.0))
+    # tol 0 is never reached (adjacent-float midpoints do not shrink the
+    # bracket), and nan or inf would end the bisection at its first bracket
+    for tol in (0.0, -1.0, math.nan, math.inf, 1e-300):
+        with pytest.raises(PreconditionError, match="tol"):
+            critical_length(base_params_cd(1.0), tol=tol)
 
 
 def test_detect_zero_series_vanishes(params_benchmark):

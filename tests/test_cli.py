@@ -200,18 +200,35 @@ def test_cli_eigen_interval_exit_contract(tmp_path_factory, interval):
 @pytest.mark.parametrize(
     ("argv", "code"),
     [
-        (["eigen", "--interval", "0.05"], 3),  # exp(B*tau) underflows to zero
+        (["eigen", "--interval", "0.05"], 0),  # exp(B*tau) underflows to zero
         (["eigen", "--interval", "1e-200"], 4),  # (pi/L)^2 overflows
         (["sweep", "--axis", "h0", "--values", "1e-200"], 4),
-        (["sweep", "--axis", "tau", "--values", "20000"], 3),  # exp(B*tau) overflows
+        (["sweep", "--axis", "tau", "--values", "20000"], 0),  # exp(B*tau) overflows
         (["simulate", "--t-end", "inf"], 4),
         (["simulate", "--t-end", "1e300"], 4),  # more steps than an array can hold
     ],
 )
-def test_cli_out_of_range_inputs_exit_cleanly(config_path, capsys, argv, code):
-    assert main([argv[0], "--config", str(config_path)] + argv[1:]) == code
+def test_cli_out_of_range_inputs_exit_cleanly(tmp_path, capsys, argv, code):
+    # dt = tau / steps stays stable (dt*vmax^2 <= 2*min(d)) at tau = 20000
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(small_config_dict(steps=2_000_000)))
+    assert main([argv[0], "--config", str(config)] + argv[1:]) == code
     err = capsys.readouterr().err
-    assert err.startswith(("numerical failure: ", "precondition error: ")) and err.count("\n") == 1
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(("numerical failure: ", "precondition error: ")) and err.count("\n") == 1
+
+
+def test_cli_eigen_shift_overflow_is_numerical_failure(tmp_path, capsys):
+    # (pi/L)^2 is in range, but (d1 + d2) * (pi/L)^2 overflows
+    doc = small_config_dict()
+    doc["model"].update(d1=1.0, d2=4.0)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    assert main(["eigen", "--config", str(config), "--interval", "3.2e-154"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_cli_eigen_bad_interval(config_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,21 +34,63 @@ def test_dirichlet_lambda0_closed_form():
 
 
 def test_short_interval_monodromy_in_range():
-    # on the fig-c/d set at L = 0.1 the entries of exp(B*tau) are ~1e-215:
-    # tr^2 of the unscaled matrix underflowed and gave r = tr/2 (lambda
-    # 99.1345); the rescaled Perron root matches the closed form again
+    # on the fig-c/d set exp(B*tau) has entries ~1e-215 at L = 0.1 and
+    # underflows to zero at L = 0.05; on the whole line at tau = 20000 it
+    # overflows.  The factored Perron root never forms e^(c1*tau).  At
+    # L = 1e-100 the shift discriminant s^2 alone would overflow
     from pulsefront.presets import base_params_cd
 
     p = base_params_cd(1.0)
-    for length in (0.1, 0.12):
+    for length in (0.1, 0.12, 0.05, 1e-100):
         lam = principal_eigenvalue_monodromy(p, length).lam
+        assert math.isfinite(lam)
         assert lam == pytest.approx(principal_eigenvalue_closed_form(p, length).lam, rel=1e-13)
-    with pytest.raises(NumericalError, match="underflows"):
-        principal_eigenvalue_monodromy(p, 0.05)
-    with pytest.raises(NumericalError, match="overflows"):
-        principal_eigenvalue_monodromy(p.with_(tau=20000.0), math.inf)
+    assert principal_eigenvalue_monodromy(p, 0.1).lam == 98.99587502820711
+    assert principal_eigenvalue_monodromy(p, 0.05).lam == pytest.approx(395.0841338192855, rel=1e-12)
+    whole = principal_eigenvalue_monodromy(p.with_(tau=20000.0), math.inf)
+    assert whole.lam == -whole.c1  # identity reset: r(K) = 1
+    assert whole.lam == pytest.approx(lambda_infinity(p).lam, rel=1e-14)
     with pytest.raises(PreconditionError, match="too short"):
         principal_eigenvalue_monodromy(p, 1e-200)
+    # (pi/L)^2 is in range, but (d1 + d2) * (pi/L)^2 overflows
+    with pytest.raises(NumericalError, match="float range"):
+        principal_eigenvalue_monodromy(p.with_(d1=1.0, d2=4.0), 3.2e-154)
+
+
+def test_monodromy_report_stays_finite_on_tiny_intervals():
+    # with d1 = d2 = d, B = B(whole line) - d*lambda0*I: K and its eigenpair
+    # do not depend on L, and lambda(L) = d*lambda0 + lambda(inf), although
+    # c1 - c2 is lost in c1 and c2 at these widths
+    from pulsefront.presets import base_params_cd
+
+    p = base_params_cd(1.0).with_(impulse=LinearImpulse(rho=0.5))
+    equal = p.with_(d1=0.2, d2=0.2)
+    whole = lambda_infinity(equal)
+    for length in (1e-3, 1e-20, 1e-150):
+        rep = principal_eigenvalue_monodromy(equal, length)
+        assert np.array_equal(rep.eigenvector, whole.eigenvector)
+        assert rep.lam == pytest.approx(0.2 * rep.lambda0 + whole.lam, rel=1e-15)
+        rep = principal_eigenvalue_monodromy(p, length)
+        report = [rep.lam, rep.k0, rep.y0, *rep.phi_psi_profile.ravel(), *rep.eigenvector]
+        assert all(math.isfinite(v) for v in report) and np.all(rep.eigenvector > 0)
+    # (c1 - c2) * tau overflows in the profile's exponent
+    rep = principal_eigenvalue_monodromy(p.with_(tau=20000.0), 3.2e-154)
+    assert np.all(np.isfinite(rep.phi_psi_profile))
+
+
+def test_oracle_scan_across_float_range():
+    # lengths down to ~0.003 drive c1*tau below -745, where e^(c1*tau)
+    # underflows to zero
+    rng = np.random.default_rng(20240)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            p, length = random_valid_params(rng)
+            length *= 10 ** rng.uniform(-2.5, 0.5)
+            mono = principal_eigenvalue_monodromy(p, length)
+            closed = principal_eigenvalue_closed_form(p, length)
+            assert abs(mono.lam - closed.lam) <= 1e-10 * abs(closed.lam)
+            assert np.all(np.isfinite(mono.eigenvector)) and np.all(mono.eigenvector > 0)
 
 
 def test_identity_impulse_reduces_to_matrix_eigenvalue(params_benchmark):
@@ -205,6 +248,8 @@ def test_envelope_bounds_definition(params_benchmark):
     spread = 2 * root + 0.4 + 0.5 * lam0
     assert a2 == pytest.approx(math.exp(spread * 5.0) / fp0)
     assert b2 == pytest.approx(fp0 * a2 / 0.3)
+    with pytest.raises(NumericalError, match="envelope bounds overflow"):
+        eigenfunction_envelope_bounds(params_benchmark.with_(tau=20000.0))  # e^(spread*tau)
 
 
 def test_envelope_bounds_hold_across_widths_and_slopes(params_benchmark):
