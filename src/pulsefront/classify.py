@@ -5,7 +5,9 @@ When it is negative the initial-interval eigenvalue splits the remainder:
 non-positive certifies spreading, positive leaves the outcome to the
 expansion capacities and initial data, which is where simulation-backed
 detection and the bisection searches for the sharp mu2 and initial-size
-thresholds come in.
+thresholds come in.  A threshold probe stops early once its outcome is
+certain: spreading once the width passes the critical length, vanishing
+once an upper solution whose front stays below it dominates the state.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .eigen import lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
-from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams
+from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams, validate_assumptions
 from .solver import SolverConfig, TimeSeries, Trajectory
 
 __all__ = [
@@ -36,6 +38,13 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# The vanishing certificate (README, "Numerical notes"): final half-widths
+# sigma_inf = j/(GRID + 1) * L*/2 for j = 1..GRID, the initial half-width
+# sigma0 = (1 + MARGIN) * w/2, and u, v at most 1/SAFETY of the upper solution.
+CERTIFICATE_GRID = 19
+CERTIFICATE_MARGIN = 1e-3
+CERTIFICATE_SAFETY = 2.0
 
 
 class Verdict(str, enum.Enum):
@@ -225,6 +234,71 @@ def _spreads(series: TimeSeries, trigger: float, crit: DetectionCriteria) -> boo
     return width_end > trigger and float(series.sup_u[-1] + series.sup_v[-1]) > crit.eps_spread
 
 
+@dataclass(frozen=True)
+class _UpperSolutions:
+    """The certificate's grid of final half-widths ``sigma_inf`` (shape (J,)),
+    the decay rates ``delta = lambda(2 sigma_inf) > 0`` and the temporal
+    profiles ``phi``, ``psi`` (shape (J, samples), the last column at t = tau).
+    None of them depends on mu1, mu2 or the initial data."""
+
+    sigma_inf: np.ndarray
+    delta: np.ndarray
+    phi: np.ndarray
+    psi: np.ndarray
+
+
+def _upper_solutions(params: ModelParams, critical: float) -> _UpperSolutions:
+    sigma_inf = 0.5 * critical * np.arange(1, CERTIFICATE_GRID + 1) / (CERTIFICATE_GRID + 1)
+    reports = [principal_eigenvalue_monodromy(params, 2.0 * s) for s in sigma_inf]
+    delta = np.array([r.lam for r in reports])
+    keep = delta > 0  # holds below L*; with delta <= 0 no upper solution decays
+    profiles = np.array([r.phi_psi_profile for r in reports])[keep]
+    return _UpperSolutions(sigma_inf[keep], delta[keep], profiles[:, :, 1], profiles[:, :, 2])
+
+
+def _vanishing_certificate(traj: Trajectory, params: ModelParams, upper: _UpperSolutions) -> dict | None:
+    """Prove that a run vanishes from its state at a period end, or return None.
+
+    The state is the pre-reset record of a period end.  With c the centre of
+    (g, h), w = h - g and sigma0 = (1 + margin) w/2, the upper solution
+    M e^{-delta t} (Phi, Psi)(t) cos(pi (x - c) / (2 sigma(t))) with
+    sigma(t) = sigma0 + (sigma_inf - sigma0)(1 - e^{-delta t}) keeps its front
+    inside (c - sigma_inf, c + sigma_inf) for M = 2 sigma0 delta
+    (sigma_inf - sigma0) / (pi max_t(mu1 Phi + mu2 Psi)).  It dominates the
+    run once u and v are at most 1/safety of it on every node at t = tau of
+    the profile.  Of the grid values wider than sigma0, the one with the
+    smallest ratio decides.
+    """
+    w = traj.h - traj.g
+    sigma0 = (1.0 + CERTIFICATE_MARGIN) * 0.5 * w
+    fits = upper.sigma_inf > sigma0
+    if not fits.any():
+        return None
+    # cos(pi (x - c) / (2 sigma0)) on the interior nodes, where x - c = (xi - 1/2) w
+    n = traj.w.shape[1] - 1
+    weight = np.cos(np.pi * (np.arange(1, n) / n - 0.5) / (1.0 + CERTIFICATE_MARGIN))
+    peak_u = float(np.max(traj.w[0, 1:-1] / weight))
+    peak_v = float(np.max(traj.w[1, 1:-1] / weight))
+    sigma_inf, delta = upper.sigma_inf[fits], upper.delta[fits]
+    phi, psi = upper.phi[fits], upper.psi[fits]
+    front = np.max(params.mu1 * phi + params.mu2 * psi, axis=1)
+    amplitude = 2.0 * sigma0 * delta * (sigma_inf - sigma0) / (np.pi * front)
+    ratio_u = peak_u / (amplitude * phi[:, -1])
+    ratio_v = peak_v / (amplitude * psi[:, -1])
+    j = int(np.argmin(np.maximum(ratio_u, ratio_v)))
+    if CERTIFICATE_SAFETY * max(ratio_u[j], ratio_v[j]) > 1.0:
+        return None
+    return {
+        "t": traj.step * traj.dt,
+        "sigma0": sigma0,
+        "sigma_inf": float(sigma_inf[j]),
+        "delta": float(delta[j]),
+        "M": float(amplitude[j]),
+        "ratio_u": float(ratio_u[j]),
+        "ratio_v": float(ratio_v[j]),
+    }
+
+
 def _probe(
     params: ModelParams,
     init: InitialData,
@@ -233,13 +307,15 @@ def _probe(
     criteria: DetectionCriteria | None,
     label: str,
     regime: dict,
+    upper: _UpperSolutions | None,
 ) -> Verdict:
     """Simulate and classify; one doubling of the horizon on Undecided.
 
-    The run advances one period at a time and stops as soon as the spreading
-    condition holds, which no later step can undo.  An Undecided run at
-    ``t_end`` continues the same trajectory to ``2 * t_end``: its records are
-    bit-identical to a fresh run of that length.
+    The run advances one period at a time.  It stops as soon as the spreading
+    condition holds, which no later step can undo, or, unless ``upper`` is
+    None, as soon as a period end carries a vanishing certificate.  An Undecided run
+    at ``t_end`` continues the same trajectory to ``2 * t_end``: its records
+    are bit-identical to a fresh run of that length.
     """
     start = time.perf_counter()
     crit = criteria or DetectionCriteria()
@@ -247,34 +323,43 @@ def _probe(
     traj = Trajectory(params, init, cfg, t_end)
     m = cfg.steps_per_period
 
-    def advance(horizon: int) -> None:
+    def run_to(horizon: int) -> tuple[str, dict | None, Classification | None]:
+        """Step to ``horizon`` or to an earlier stop; the reason for the stop,
+        the certificate and, unless certified, the classified records."""
+        reason = "horizon"
         while traj.step < horizon:
             traj.advance(min(horizon, (traj.step // m + 1) * m))
             if _spreads(traj.series(), trigger, crit):
-                return
+                reason = "spreading"
+                break
+            if upper is not None and traj.step % m == 0:
+                certificate = _vanishing_certificate(traj, params, upper)
+                if certificate is not None:
+                    return "certificate", certificate, None
+        return reason, None, detect_outcome(traj.series(), params, criteria, **regime)
 
     horizon = traj.n_steps
-    advance(horizon)
-    outcome = detect_outcome(traj.series(), params, criteria, **regime)
-    resumed = outcome.verdict is Verdict.UNDECIDED
+    stop_reason, certificate, outcome = run_to(horizon)
+    resumed = outcome is not None and outcome.verdict is Verdict.UNDECIDED
     if resumed:
         horizon = traj.steps_to(2.0 * t_end)
-        advance(horizon)
-        outcome = detect_outcome(traj.series(), params, criteria, **regime)
-    verdict = outcome.verdict
+        stop_reason, certificate, outcome = run_to(horizon)
+    verdict = Verdict.VANISHING if outcome is None else outcome.verdict
     record = {
         "probe": label,
         "verdict": str(verdict),
+        "stop_reason": stop_reason,
         "stop_step": traj.step,
         "horizon_step": horizon,
         "stopped_early": traj.step < horizon,
         "resumed": resumed,
         "wall_s": time.perf_counter() - start,
-        "evidence": outcome.evidence,
+        "evidence": None if outcome is None else outcome.evidence,
+        "certificate": certificate,
     }
     logger.debug(
         "probe %(probe)s: %(verdict)s at step %(stop_step)d of %(horizon_step)d "
-        "(stopped early: %(stopped_early)s, resumed: %(resumed)s) in %(wall_s).3f s",
+        "(stop: %(stop_reason)s, resumed: %(resumed)s) in %(wall_s).3f s",
         record,
         extra={"probe": record},
     )
@@ -321,17 +406,23 @@ def _bisect_threshold(
     )
 
 
-def _search_regime(params: ModelParams, t_end: float | None, what: str) -> tuple[float, dict]:
-    """Check the regime a threshold search needs; return its probe horizon and
+def _search_regime(
+    params: ModelParams, t_end: float | None, what: str
+) -> tuple[float, dict, _UpperSolutions | None]:
+    """Check the regime a threshold search needs; return its probe horizon,
     the ``detect_outcome`` keywords every probe shares (the classification and
-    the critical length, which the searched mu2 or kappa does not change)."""
+    the critical length) and the vanishing certificate's table, none of which
+    the searched mu2 or kappa changes.  The table is None where A2-A4 fail:
+    the certificate needs f(s) <= f'(0)s and G(s) <= G'(0)s."""
     base = classify_analytic(params)
     if base.verdict is not Verdict.THRESHOLD_DEPENDENT:
         raise PreconditionError(
             f"{what} threshold search needs the threshold-dependent regime, got {base.verdict}"
         )
     horizon = 40.0 * params.tau if t_end is None else t_end
-    return horizon, {"analytic": base, "critical": critical_length(params)}
+    critical = critical_length(params)
+    upper = _upper_solutions(params, critical) if validate_assumptions(params, None).all_pass else None
+    return horizon, {"analytic": base, "critical": critical}, upper
 
 
 def find_mu_threshold(
@@ -348,11 +439,11 @@ def find_mu_threshold(
     Valid only in the threshold-dependent regime; the bracket ends must
     straddle the outcome (Vanishing low, Spreading high).
     """
-    horizon, regime = _search_regime(params, t_end, "mu2")
+    horizon, regime, upper = _search_regime(params, t_end, "mu2")
 
     def evaluate(mu2: float) -> Verdict:
         p = params.with_(mu2=mu2)
-        return _probe(p, init, cfg, horizon, criteria, f"mu2={mu2:.6g}", regime)
+        return _probe(p, init, cfg, horizon, criteria, f"mu2={mu2:.6g}", regime, upper)
 
     return _bisect_threshold(evaluate, mu2_bracket[0], mu2_bracket[1], tol, "mu2")
 
@@ -376,10 +467,10 @@ def find_kappa_threshold(
             "kappa threshold search requires a linear (or identity) impulse; "
             f"got {params.impulse.kind}"
         )
-    horizon, regime = _search_regime(params, t_end, "kappa")
+    horizon, regime, upper = _search_regime(params, t_end, "kappa")
 
     def evaluate(kappa: float) -> Verdict:
         scaled = upsilon.scaled(kappa, 1.0)
-        return _probe(params, scaled, cfg, horizon, criteria, f"kappa={kappa:.6g}", regime)
+        return _probe(params, scaled, cfg, horizon, criteria, f"kappa={kappa:.6g}", regime, upper)
 
     return _bisect_threshold(evaluate, kappa_bracket[0], kappa_bracket[1], tol, "kappa")

@@ -149,17 +149,25 @@ def _profile(params: ModelParams, lambda0: float, y0: float, k0: float) -> np.nd
 
     Phi(t) = [a12 e^{k1 t} - n12 k0 e^{k2 t}] / (a12 f'(0) + n12^2), with
     k1 = lam + c1 = ln(y0)/tau, k2 = k1 - (c1 - c2) and Psi the matching
-    second component.
+    second component.  The determinant a12 f'(0) + n12^2 overflows once n12
+    passes 1e154, so every term is divided by the larger of n12 and
+    sqrt(a12 f'(0)) first.  Raises NumericalError when a sample is not finite.
     """
     fp0, _ = _slopes(params)
     _, _, gap, n12 = _shifts(params, lambda0)
-    det = params.a12 * fp0 + n12 * n12
+    s = max(n12, math.sqrt(params.a12 * fp0))
+    a, f, n = params.a12 / s, fp0 / s, n12 / s
+    det = a * f + n * n  # (a12 f'(0) + n12^2) / s^2, in [1, 2]
     k1 = math.log(y0) / params.tau
     t = np.linspace(0.0, params.tau, PROFILE_SAMPLES)
-    with np.errstate(over="ignore"):  # k2*t may overflow to -inf, where e^{k2 t} is 0
+    # k2*t may overflow to -inf, where e^{k2 t} is 0; anything else that
+    # leaves the float range is reported below
+    with np.errstate(all="ignore"):
         e1, e2 = np.exp(k1 * t), np.exp((k1 - (gap + n12)) * t)
-    phi = (params.a12 * e1 - n12 * k0 * e2) / det
-    psi = (fp0 * k0 * e2 + n12 * e1) / det
+        phi = (a * e1 - n * k0 * e2) / det / s
+        psi = (f * k0 * e2 + n * e1) / det / s
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
+        raise NumericalError(f"eigenfunction profile leaves the float range (lambda0 = {lambda0:.6g})")
     return np.column_stack([t, phi, psi])
 
 
@@ -267,6 +275,10 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
                 hi = mid
         k0 = 0.5 * (lo + hi)
         y0 = (n12 + n21 * k0) / (n12 + n22 * k0)
+        if not math.isfinite(y0):
+            raise NumericalError(
+                f"period multiplier y0 leaves the float range (lambda0 = {lambda0:.6g})"
+            )
 
     lam = math.log(y0) / tau - c1
     return EigenReport(

@@ -15,8 +15,14 @@ from pulsefront.classify import (
     find_mu_threshold,
 )
 from pulsefront.errors import PreconditionError
-from pulsefront.model import InitialData, LinearImpulse, SaturatingImpulse
-from pulsefront.solver import SolverConfig, TimeSeries, run
+from pulsefront.model import (
+    InitialData,
+    LinearGrowth,
+    LinearImpulse,
+    SaturatingImpulse,
+    validate_assumptions,
+)
+from pulsefront.solver import SolverConfig, TimeSeries, Trajectory, run
 from pulsefront.presets import base_params_cd
 
 
@@ -184,17 +190,36 @@ def test_threshold_search_computes_critical_length_once(params_benchmark, init_c
         outcomes.append((series, params, out))
         return out
 
+    tables = []
+    real_upper = classify._upper_solutions
+
+    def counted_upper(params, critical):
+        tables.append(params.mu2)
+        return real_upper(params, critical)
+
     class FakeTrajectory:
-        # spreads above mu2 = 20, stays put and empty below; 200 steps to t_end
+        # spreads above mu2 = 20, stays put and empty below; the time grid
+        # of the real one
         def __init__(self, params, init, cfg, t_end):
-            self.mu2, self.dt, self.step = params.mu2, t_end / 200, 0
+            self.mu2, self.dt, self.step = params.mu2, params.tau / cfg.steps_per_period, 0
             self.n_steps = self.steps_to(t_end)
+            self.w = np.zeros((2, cfg.n + 1))
+            if self.mu2 > 20.0:
+                self.w[:, 1:-1] = [[5.0], [3.0]]
 
         def steps_to(self, t_end):
             return round(t_end / self.dt)
 
         def advance(self, to_step):
             self.step = max(self.step, to_step)
+
+        @property
+        def h(self):
+            return 2.0 + 0.2 * self.step * self.dt if self.mu2 > 20.0 else 2.0
+
+        @property
+        def g(self):
+            return -self.h
 
         def series(self):
             t = np.arange(self.step + 1) * self.dt
@@ -205,12 +230,19 @@ def test_threshold_search_computes_critical_length_once(params_benchmark, init_c
             return _series(t, zero - 2.0, zero + 2.0, zero, zero)
 
     monkeypatch.setattr(classify, "critical_length", counted_length)
+    monkeypatch.setattr(classify, "_upper_solutions", counted_upper)
     monkeypatch.setattr(classify, "detect_outcome", spied_detect)
     monkeypatch.setattr(classify, "Trajectory", FakeTrajectory)
-    result = find_mu_threshold(params_benchmark, init_cos, SolverConfig(n=64), (1.0, 40.0), tol=1.0)
+    cfg = SolverConfig(n=64, steps_per_period=10)
+    result = find_mu_threshold(params_benchmark, init_cos, cfg, (1.0, 40.0), tol=1.0)
     lo, hi = result.bracket
-    assert lo <= 20.0 <= hi and len(outcomes) == len(result.history) > 2
-    assert len(lengths) == 1
+    assert lo <= 20.0 <= hi and len(result.history) > 2
+    assert len(lengths) == 1 and len(tables) == 1
+    # the empty runs are certified to vanish at their first period end; only
+    # the spreading ones are classified from their records
+    spreading = [mu2 for mu2, verdict in result.history if verdict is Verdict.SPREADING]
+    assert [params.mu2 for _, params, _ in outcomes] == spreading
+    assert len(spreading) < len(result.history)
     # a direct call recomputes both and classifies every probe the same way
     for series, params, out in outcomes:
         assert real_detect(series, params) == out
@@ -315,7 +347,7 @@ def _counted_probe(monkeypatch, mu2):
 
     params = base_params_cd(1.0)
     init, cfg = InitialData.cos_quarter(2.0, 0.3, 0.1), SolverConfig(n=32, steps_per_period=25)
-    horizon, regime = classify._search_regime(params, None, "mu2")
+    horizon, regime, upper = classify._search_regime(params, None, "mu2")
     steps, evidences = [0], []
     real_step, real_detect = solver.transform_step, classify.detect_outcome
 
@@ -330,7 +362,9 @@ def _counted_probe(monkeypatch, mu2):
 
     monkeypatch.setattr(solver, "transform_step", counted_step)
     monkeypatch.setattr(classify, "detect_outcome", spied_detect)
-    verdict = classify._probe(params.with_(mu2=mu2), init, cfg, horizon, None, f"mu2={mu2}", regime)
+    verdict = classify._probe(
+        params.with_(mu2=mu2), init, cfg, horizon, None, f"mu2={mu2}", regime, upper
+    )
     return verdict, evidences, steps[0], round(horizon / (params.tau / cfg.steps_per_period))
 
 
@@ -344,14 +378,21 @@ def test_spreading_probe_stops_before_horizon(monkeypatch):
     assert steps % 25 == 0 and steps == round(evidence["t_end"] / 0.2) < n1
 
 
-def test_undecided_probe_resumes_its_trajectory(monkeypatch):
-    verdict, evidences, steps, n1 = _counted_probe(monkeypatch, 1.2)
+def test_undecided_probe_resumes_its_trajectory(monkeypatch, caplog):
+    # on this grid mu2 = 1.3 is Undecided at t_end = 200 and certified to
+    # vanish at t = 225, after the resume
+    with caplog.at_level(logging.DEBUG, logger="pulsefront.classify"):
+        verdict, evidences, steps, n1 = _counted_probe(monkeypatch, 1.3)
+    (record,) = [r.probe for r in caplog.records]
     assert verdict is Verdict.VANISHING
-    assert [e["t_end"] for e in evidences] == [200.0, 400.0]
-    assert steps == 2 * n1  # n2 steps, not n1 + n2
+    assert [e["t_end"] for e in evidences] == [200.0]
+    assert record["resumed"] and record["stop_reason"] == "certificate"
+    assert n1 < record["stop_step"] < record["horizon_step"] == 2 * n1
+    assert steps == record["stop_step"]  # the resumed run went on, it did not start over
+    assert record["certificate"]["t"] == steps * 0.2
 
 
-def test_probes_log_one_debug_record_each(caplog):
+def test_probes_log_one_debug_record_each(caplog, capsys):
     params = base_params_cd(1.0)
     init, cfg = InitialData.cos_quarter(2.0, 0.3, 0.1), SolverConfig(n=32, steps_per_period=25)
 
@@ -368,9 +409,100 @@ def test_probes_log_one_debug_record_each(caplog):
     assert [(r["probe"], r["verdict"]) for r in records] == [
         (f"mu2={value:.6g}", str(verdict)) for value, verdict in loud.history
     ]
-    # mu2 = 1 vanishes at the horizon; the high end spreads within it
-    assert records[0]["stop_step"] == records[0]["horizon_step"] == 1000
-    assert not records[0]["stopped_early"] and not records[0]["resumed"]
+    # mu2 = 1 is certified to vanish and the high end spreads, both well
+    # within the horizon
+    assert [r["stop_reason"] for r in records[:2]] == ["certificate", "spreading"]
+    assert all(r["stop_reason"] in ("spreading", "certificate", "horizon") for r in records)
+    assert records[0]["stopped_early"] and records[0]["stop_step"] < records[0]["horizon_step"] == 1000
+    assert not records[0]["resumed"] and records[0]["evidence"] is None
+    certificate = records[0]["certificate"]
+    assert certificate["t"] == records[0]["stop_step"] * (params.tau / 25)
+    assert 0 < certificate["sigma0"] < certificate["sigma_inf"]
+    assert 2.0 * certificate["sigma_inf"] < critical_length(params)
+    assert certificate["delta"] > 0 and certificate["M"] > 0
+    assert 0 <= certificate["ratio_u"] <= 0.5 and 0 <= certificate["ratio_v"] <= 0.5
     assert records[1]["stopped_early"] and records[1]["stop_step"] < 1000
+    assert records[1]["certificate"] is None
     assert all(r["wall_s"] > 0 for r in records)
     assert records[1]["evidence"]["t_end"] == records[1]["stop_step"] * (params.tau / 25)
+    assert capsys.readouterr().out == ""
+
+
+def test_certificate_needs_assumptions_a2_to_a4(params_benchmark):
+    import pulsefront.classify as classify
+
+    _, regime, upper = classify._search_regime(params_benchmark, None, "mu2")
+    assert upper is not None and len(upper.sigma_inf) == classify.CERTIFICATE_GRID
+    assert np.all(upper.delta > 0) and np.all(2.0 * upper.sigma_inf < regime["critical"])
+    # f(u)/u = 0.07 is above a11*a22/a12 = 0.06: A2 fails, the regime does not
+    bad = params_benchmark.with_(growth=LinearGrowth(p=0.07))
+    assert not validate_assumptions(bad, None).all_pass
+    assert classify._search_regime(bad, None, "mu2")[2] is None
+
+
+def _benchmark_bracket(seed):
+    """The mu2 bracket the benchmark's ``threshold`` workload draws for a seed."""
+    rng = np.random.default_rng([seed, 2])
+    return 1.0 + 0.02 * rng.uniform(-1.0, 1.0), 10.0 + 0.05 * rng.uniform(-1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    ("search", "mu2", "n", "steps", "bracket", "tol", "t_end"),
+    [
+        # the benchmark's threshold rounds, seeds 1 and 7
+        ("mu2", 1.0, 128, 100, _benchmark_bracket(1), 0.3, None),
+        ("mu2", 1.0, 128, 100, _benchmark_bracket(7), 0.3, None),
+        # test_cli_threshold_mu2_csv's config at its tol and at 0.3
+        ("mu2", 1.0, 96, 400, (1.0, 10.0), 3.0, 200.0),
+        ("mu2", 1.0, 96, 400, (1.0, 10.0), 0.3, 200.0),
+        # test_kappa_threshold_end_to_end
+        ("kappa", 2.0, 96, 400, (0.01, 20.0), 6.0, 150.0),
+        # criterion 10 and README's weak.json
+        ("mu2", 1.0, 256, 1000, (1.0, 10.0), 0.3, None),
+    ],
+    ids=["benchmark-seed1", "benchmark-seed7", "cli-tol3", "cli-tol0.3", "kappa", "criterion10"],
+)
+def test_certificate_stops_reach_vanishing(monkeypatch, search, mu2, n, steps, bracket, tol, t_end):
+    # every probe the certificate stops vanishes by detect_outcome too, run on
+    # to its horizon or, where Undecided there, to the doubled one
+    import pulsefront.classify as classify
+
+    certified = []
+    real_certificate = classify._vanishing_certificate
+
+    def spied_certificate(traj, params, upper):
+        certificate = real_certificate(traj, params, upper)
+        if certificate is not None:
+            certified.append(traj)
+        return certificate
+
+    monkeypatch.setattr(classify, "_vanishing_certificate", spied_certificate)
+    params, init = base_params_cd(mu2), InitialData.cos_quarter(2.0, 0.3, 0.1)
+    find = find_mu_threshold if search == "mu2" else find_kappa_threshold
+    find(params, init, SolverConfig(n=n, steps_per_period=steps), bracket, tol, t_end=t_end)
+    assert certified
+    horizon = 40.0 * params.tau if t_end is None else t_end
+    for traj in certified:
+        verdict = None
+        for to_step in (traj.n_steps, traj.steps_to(2.0 * horizon)):
+            if traj.step > to_step:  # certified after the resume
+                continue
+            traj.advance(to_step)
+            verdict = detect_outcome(traj.series(), traj.params).verdict
+            if verdict is not Verdict.UNDECIDED:
+                break
+        assert verdict is Verdict.VANISHING
+
+
+def test_certificate_never_fires_on_a_spreading_run():
+    # mu2 = 1.5625 is just above the threshold in the benchmark's shape
+    import pulsefront.classify as classify
+
+    params = base_params_cd(1.5625)
+    horizon, regime, upper = classify._search_regime(params, None, "mu2")
+    cfg = SolverConfig(n=128, steps_per_period=100)
+    traj = Trajectory(params, InitialData.cos_quarter(2.0, 0.3, 0.1), cfg, horizon)
+    for period_end in range(100, traj.n_steps + 1, 100):
+        traj.advance(period_end)
+        assert classify._vanishing_certificate(traj, params, upper) is None
+    assert detect_outcome(traj.series(), params, **regime).verdict is Verdict.SPREADING

@@ -183,8 +183,11 @@ def test_cli_eigen_json(config_path, capsys):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_cli_eigen_interval_exit_contract(tmp_path_factory, interval):
     # nan, +-inf, subnormals and lengths near the float limits: short
-    # intervals overflow (pi/L)^2 (exit 4) or exp(B*tau) (exit 3), and
-    # every number of a report that is printed is finite
+    # intervals overflow (pi/L)^2 (exit 4), and every number of a report
+    # that is printed is finite.  exp(B*tau) is never formed, so it cannot
+    # fail; the one exit 3 left is the shift overflow, (d1 + d2)*(pi/L)^2
+    # past the float range, which these coefficients do not reach (see
+    # test_cli_eigen_shift_overflow_is_numerical_failure)
     config = tmp_path_factory.getbasetemp() / "eigen.json"
     config.write_text(json.dumps(small_config_dict()))
     out, err = io.StringIO(), io.StringIO()
@@ -200,15 +203,19 @@ def test_cli_eigen_interval_exit_contract(tmp_path_factory, interval):
 @pytest.mark.parametrize(
     ("argv", "code"),
     [
-        (["eigen", "--interval", "0.05"], 0),  # exp(B*tau) underflows to zero
+        # exp(B*tau) would underflow to zero; the factored Perron root does not form it
+        (["eigen", "--interval", "0.05"], 0),
         (["eigen", "--interval", "1e-200"], 4),  # (pi/L)^2 overflows
         (["sweep", "--axis", "h0", "--values", "1e-200"], 4),
-        (["sweep", "--axis", "tau", "--values", "20000"], 0),  # exp(B*tau) overflows
+        # exp(B*tau) would overflow on the whole line; it is not formed either
+        (["sweep", "--axis", "tau", "--values", "20000"], 0),
         (["simulate", "--t-end", "inf"], 4),
         (["simulate", "--t-end", "1e300"], 4),  # more steps than an array can hold
     ],
 )
 def test_cli_out_of_range_inputs_exit_cleanly(tmp_path, capsys, argv, code):
+    # no eigenvalue case here exits 3: that is left to the shift overflow,
+    # test_cli_eigen_shift_overflow_is_numerical_failure.
     # dt = tau / steps stays stable (dt*vmax^2 <= 2*min(d)) at tau = 20000
     config = tmp_path / "run.json"
     config.write_text(json.dumps(small_config_dict(steps=2_000_000)))

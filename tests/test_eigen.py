@@ -78,6 +78,39 @@ def test_monodromy_report_stays_finite_on_tiny_intervals():
     assert np.all(np.isfinite(rep.phi_psi_profile))
 
 
+def test_profile_stays_positive_when_the_mode_determinant_overflows():
+    # d1 > d2 makes n12 ~ (d1 - d2) * lambda0, and a12*f'(0) + n12^2 passes
+    # 1e308 once n12 passes 1e154; lambda never used it
+    from pulsefront.presets import base_params_cd
+
+    p = base_params_cd(1.0).with_(d1=0.4, d2=0.1)
+    rep = principal_eigenvalue_monodromy(p, 1e-80)
+    assert rep.lam == 9.869604401089355e159
+    prof = rep.phi_psi_profile[:, 1:]
+    assert np.all(np.isfinite(prof)) and np.all(prof > 0)
+    # identity reset: k0 = 0 and (Phi, Psi) = (a12, n12) / (a12 f'(0) + n12^2),
+    # which is still in range at 1e-70
+    rep = principal_eigenvalue_monodromy(p, 1e-70)
+    n12 = 0.5 * (rep.c1 - rep.c2) + 0.5 * abs(p.a22 + (p.d2 - p.d1) * rep.lambda0 - p.a11)
+    det = p.a12 * p.growth.slope_at_zero + n12 * n12
+    assert rep.k0 == 0.0 and math.isfinite(det)
+    np.testing.assert_allclose(rep.phi_psi_profile[:, 1], p.a12 / det, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rep.phi_psi_profile[:, 2], n12 / det, rtol=1e-14, atol=0)
+
+
+def test_closed_form_fails_loudly_on_very_short_intervals():
+    # with G'(0) < 1 the period multiplier y0 overflows at L = 1e-100; the
+    # oracle raises instead of warning and returning NaN
+    from pulsefront.presets import base_params_cd
+
+    p = base_params_cd(1.0).with_(impulse=LinearImpulse(rho=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="float range"):
+            principal_eigenvalue_closed_form(p, 1e-100)
+        assert math.isfinite(principal_eigenvalue_monodromy(p, 1e-100).lam)
+
+
 def test_oracle_scan_across_float_range():
     # lengths down to ~0.003 drive c1*tau below -745, where e^(c1*tau)
     # underflows to zero
