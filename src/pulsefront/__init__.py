@@ -2,9 +2,9 @@
 
 from .classify import (
     Classification,
-    DetectionCriteria,
     ThresholdResult,
     Verdict,
+    analytic_regime,
     classify_analytic,
     critical_length,
     detect_outcome,

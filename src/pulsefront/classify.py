@@ -28,9 +28,9 @@ from .solver import SolverConfig, TimeSeries, Trajectory
 __all__ = [
     "Verdict",
     "Classification",
-    "DetectionCriteria",
     "ThresholdResult",
     "classify_analytic",
+    "analytic_regime",
     "critical_length",
     "detect_outcome",
     "find_mu_threshold",
@@ -38,6 +38,19 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Outcome detection from a run's records.  Vanishing needs the final mass
+# sup u + sup v below EPS_VANISH and width growth below STALL_FRACTION * h0
+# over the trailing TRAILING_FRACTION of the run.  Spreading needs the width
+# past the critical length, or past SPREAD_CAP * h0 outside the
+# threshold-dependent regime, where none exists, with the mass above
+# EPS_SPREAD.  The order-of-magnitude gap between the two mass thresholds
+# prevents verdict flapping.
+EPS_VANISH = 1e-3
+EPS_SPREAD = 1e-2
+STALL_FRACTION = 0.01
+TRAILING_FRACTION = 0.2
+SPREAD_CAP = 25.0
 
 # The vanishing certificate (README, "Numerical notes"): final half-widths
 # sigma_inf = j/(GRID + 1) * L*/2 for j = 1..GRID, the initial half-width
@@ -71,25 +84,6 @@ class Classification:
             "lambda_h0": self.lambda_h0,
             "evidence": self.evidence,
         }
-
-
-@dataclass(frozen=True)
-class DetectionCriteria:
-    """Constants for simulation-based outcome detection.
-
-    Vanishing needs final mass below ``eps_vanish`` and front-width growth
-    below ``stall_fraction * h0`` over the trailing ``trailing_fraction`` of
-    the run.  Spreading needs the width to exceed the critical length (or
-    ``spread_width_cap`` when no critical length exists) with final mass
-    above ``eps_spread``.  The order-of-magnitude gap between the two mass
-    thresholds prevents verdict flapping.
-    """
-
-    eps_vanish: float = 1e-3
-    eps_spread: float = 1e-2
-    stall_fraction: float = 0.01
-    trailing_fraction: float = 0.2
-    spread_width_cap: float | None = None  # defaults to 25 * h0
 
 
 @dataclass(frozen=True)
@@ -166,33 +160,44 @@ def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
     return 0.5 * lo + 0.5 * hi
 
 
+def analytic_regime(params: ModelParams) -> tuple[Classification, float | None]:
+    """``classify_analytic(params)`` and, in the threshold-dependent regime,
+    ``critical_length(params)``, else None.  Neither depends on mu1, mu2 or
+    the initial data, so a search or sweep over those computes the pair once
+    and passes it to ``detect_outcome``."""
+    analytic = classify_analytic(params)
+    if analytic.verdict is not Verdict.THRESHOLD_DEPENDENT:
+        return analytic, None
+    return analytic, critical_length(params)
+
+
 def detect_outcome(
     series: TimeSeries,
     params: ModelParams,
-    criteria: DetectionCriteria | None = None,
     *,
     analytic: Classification | None = None,
     critical: float | None = None,
 ) -> Classification:
     """Classify a completed run; Undecided is a valid outcome (extend t_end).
 
-    ``analytic`` and ``critical`` are ``classify_analytic(params)`` and, in the
-    threshold-dependent regime, ``critical_length(params)``; neither depends on
-    mu1, mu2 or the initial data, so a threshold search computes them once and
-    passes them in.  Left out, they are computed here.
+    ``analytic`` and ``critical`` are the pair of ``analytic_regime(params)``;
+    left out, they are computed here.
     """
-    crit = criteria or DetectionCriteria()
     if analytic is None:
         analytic = classify_analytic(params)
 
     mass_end = float(series.sup_u[-1] + series.sup_v[-1])
     width = series.width
     t0, t1 = float(series.t[0]), float(series.t[-1])
-    window_start = t1 - crit.trailing_fraction * (t1 - t0)
+    window_start = t1 - TRAILING_FRACTION * (t1 - t0)
     idx = int(np.searchsorted(series.t, window_start))
     trailing_growth = float(width[-1] - width[idx])
 
-    trigger = _spread_trigger(params, crit, analytic, critical)
+    # the width past which a run counts as spreading
+    if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
+        trigger = critical_length(params) if critical is None else critical
+    else:
+        trigger = SPREAD_CAP * params.h0
     evidence = {
         "t_end": t1,
         "final_mass": mass_end,
@@ -201,37 +206,22 @@ def detect_outcome(
         "spread_trigger_width": trigger,
     }
 
-    vanishing = mass_end < crit.eps_vanish and trailing_growth < crit.stall_fraction * params.h0
+    vanishing = mass_end < EPS_VANISH and trailing_growth < STALL_FRACTION * params.h0
     if vanishing:
         verdict = Verdict.VANISHING
-    elif _spreads(series, trigger, crit):
+    elif _spreads(series, trigger):
         verdict = Verdict.SPREADING
     else:
         verdict = Verdict.UNDECIDED
     return replace(analytic, verdict=verdict, evidence=evidence)
 
 
-def _spread_trigger(
-    params: ModelParams,
-    crit: DetectionCriteria,
-    analytic: Classification,
-    critical: float | None,
-) -> float:
-    """Width past which a run counts as spreading: the critical length in the
-    threshold-dependent regime, else the configured or default width cap."""
-    if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
-        return critical_length(params) if critical is None else critical
-    if crit.spread_width_cap is not None:
-        return crit.spread_width_cap
-    return 25.0 * params.h0
-
-
-def _spreads(series: TimeSeries, trigger: float, crit: DetectionCriteria) -> bool:
+def _spreads(series: TimeSeries, trigger: float) -> bool:
     """The spreading condition at the last record: width past ``trigger`` and
-    mass above ``eps_spread``.  Front speeds are floored at zero, so the width
+    mass above ``EPS_SPREAD``.  Front speeds are floored at zero, so the width
     never shrinks; past the critical length spreading is certain."""
     width_end = float(series.h[-1] - series.g[-1])
-    return width_end > trigger and float(series.sup_u[-1] + series.sup_v[-1]) > crit.eps_spread
+    return width_end > trigger and float(series.sup_u[-1] + series.sup_v[-1]) > EPS_SPREAD
 
 
 @dataclass(frozen=True)
@@ -304,9 +294,9 @@ def _probe(
     init: InitialData,
     cfg: SolverConfig,
     t_end: float,
-    criteria: DetectionCriteria | None,
     label: str,
-    regime: dict,
+    analytic: Classification,
+    critical: float,
     upper: _UpperSolutions | None,
 ) -> Verdict:
     """Simulate and classify; one doubling of the horizon on Undecided.
@@ -318,8 +308,6 @@ def _probe(
     are bit-identical to a fresh run of that length.
     """
     start = time.perf_counter()
-    crit = criteria or DetectionCriteria()
-    trigger = _spread_trigger(params, crit, **regime)
     traj = Trajectory(params, init, cfg, t_end)
     m = cfg.steps_per_period
 
@@ -329,14 +317,15 @@ def _probe(
         reason = "horizon"
         while traj.step < horizon:
             traj.advance(min(horizon, (traj.step // m + 1) * m))
-            if _spreads(traj.series(), trigger, crit):
+            if _spreads(traj.series(), critical):  # L* is the trigger of a search's regime
                 reason = "spreading"
                 break
             if upper is not None and traj.step % m == 0:
                 certificate = _vanishing_certificate(traj, params, upper)
                 if certificate is not None:
                     return "certificate", certificate, None
-        return reason, None, detect_outcome(traj.series(), params, criteria, **regime)
+        outcome = detect_outcome(traj.series(), params, analytic=analytic, critical=critical)
+        return reason, None, outcome
 
     horizon = traj.n_steps
     stop_reason, certificate, outcome = run_to(horizon)
@@ -408,21 +397,20 @@ def _bisect_threshold(
 
 def _search_regime(
     params: ModelParams, t_end: float | None, what: str
-) -> tuple[float, dict, _UpperSolutions | None]:
+) -> tuple[float, Classification, float, _UpperSolutions | None]:
     """Check the regime a threshold search needs; return its probe horizon,
-    the ``detect_outcome`` keywords every probe shares (the classification and
-    the critical length) and the vanishing certificate's table, none of which
-    the searched mu2 or kappa changes.  The table is None where A2-A4 fail:
-    the certificate needs f(s) <= f'(0)s and G(s) <= G'(0)s."""
-    base = classify_analytic(params)
-    if base.verdict is not Verdict.THRESHOLD_DEPENDENT:
+    the pair of ``analytic_regime`` every probe shares and the vanishing
+    certificate's table, none of which the searched mu2 or kappa changes.
+    The table is None where A2-A4 fail: the certificate needs f(s) <= f'(0)s
+    and G(s) <= G'(0)s."""
+    analytic, critical = analytic_regime(params)
+    if critical is None:
         raise PreconditionError(
-            f"{what} threshold search needs the threshold-dependent regime, got {base.verdict}"
+            f"{what} threshold search needs the threshold-dependent regime, got {analytic.verdict}"
         )
     horizon = 40.0 * params.tau if t_end is None else t_end
-    critical = critical_length(params)
     upper = _upper_solutions(params, critical) if validate_assumptions(params, None).all_pass else None
-    return horizon, {"analytic": base, "critical": critical}, upper
+    return horizon, analytic, critical, upper
 
 
 def find_mu_threshold(
@@ -432,18 +420,17 @@ def find_mu_threshold(
     mu2_bracket: tuple[float, float],
     tol: float,
     t_end: float | None = None,
-    criteria: DetectionCriteria | None = None,
 ) -> ThresholdResult:
     """Sharp expansion-capacity threshold in mu2, everything else fixed.
 
     Valid only in the threshold-dependent regime; the bracket ends must
     straddle the outcome (Vanishing low, Spreading high).
     """
-    horizon, regime, upper = _search_regime(params, t_end, "mu2")
+    horizon, analytic, critical, upper = _search_regime(params, t_end, "mu2")
 
     def evaluate(mu2: float) -> Verdict:
         p = params.with_(mu2=mu2)
-        return _probe(p, init, cfg, horizon, criteria, f"mu2={mu2:.6g}", regime, upper)
+        return _probe(p, init, cfg, horizon, f"mu2={mu2:.6g}", analytic, critical, upper)
 
     return _bisect_threshold(evaluate, mu2_bracket[0], mu2_bracket[1], tol, "mu2")
 
@@ -455,7 +442,6 @@ def find_kappa_threshold(
     kappa_bracket: tuple[float, float],
     tol: float,
     t_end: float | None = None,
-    criteria: DetectionCriteria | None = None,
 ) -> ThresholdResult:
     """Sharp initial-size threshold: u0 = kappa * upsilon.u0, v0 fixed.
 
@@ -467,10 +453,11 @@ def find_kappa_threshold(
             "kappa threshold search requires a linear (or identity) impulse; "
             f"got {params.impulse.kind}"
         )
-    horizon, regime, upper = _search_regime(params, t_end, "kappa")
+    horizon, analytic, critical, upper = _search_regime(params, t_end, "kappa")
 
     def evaluate(kappa: float) -> Verdict:
         scaled = upsilon.scaled(kappa, 1.0)
-        return _probe(params, scaled, cfg, horizon, criteria, f"kappa={kappa:.6g}", regime, upper)
+        label = f"kappa={kappa:.6g}"
+        return _probe(params, scaled, cfg, horizon, label, analytic, critical, upper)
 
     return _bisect_threshold(evaluate, kappa_bracket[0], kappa_bracket[1], tol, "kappa")

@@ -170,16 +170,15 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _sweep_row(config: RunConfig, axis: str, value: float, shared: dict) -> str:
+def _sweep_row(config: RunConfig, axis: str, value: float, shared: tuple | None) -> str:
     if axis == "rho":
         model = config.model.with_(impulse=LinearImpulse(rho=value))
     else:
         model = config.model.with_(**{axis: value})
-    analytic = shared.get("analytic") or cls.classify_analytic(model)
+    analytic, critical = shared or (cls.classify_analytic(model), None)
     series = run(model, config.init.build(model, config.base_dir), config.solver, config.t_end)
     verdict = analytic.verdict
     if verdict is cls.Verdict.THRESHOLD_DEPENDENT:
-        critical = shared.get("critical")
         verdict = cls.detect_outcome(series, model, analytic=analytic, critical=critical).verdict
     return ",".join(
         [
@@ -202,11 +201,9 @@ def _cmd_sweep(args) -> int:
     values = _parse_values(args.values)
     # the eigenvalues, hence the regime and the critical length, do not
     # depend on the expansion capacities: compute them once for those axes
-    shared = {}
+    shared = None
     if args.axis in ("mu1", "mu2") and values:
-        shared["analytic"] = cls.classify_analytic(config.model)
-        if shared["analytic"].verdict is cls.Verdict.THRESHOLD_DEPENDENT:
-            shared["critical"] = cls.critical_length(config.model)
+        shared = cls.analytic_regime(config.model)
     header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
     rows = [_sweep_row(config, args.axis, v, shared) for v in values]
     sys.stdout.write("\n".join([header] + rows) + "\n")

@@ -199,6 +199,8 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
     lam = -c1 - math.log(r) / params.tau
     # the eigenvector form that does not cancel r against the larger diagonal entry
     vec = np.array([k01, r - k00] if k11 > k00 else [r - k11, k10])
+    if not vec.max() > 0:  # K rounds to I under the identity reset: B's Perron vector
+        vec = np.array([params.a12, n12])
 
     # express the eigenpair in the closed-form parameterization for the report
     y0 = 1.0 / r

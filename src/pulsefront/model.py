@@ -19,6 +19,7 @@ exact slopes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
@@ -270,6 +271,8 @@ class ModelParams:
         bad = [k for k, v in positive.items() if not v > 0]
         if bad:
             raise ConfigurationError(f"fields must be strictly positive: {', '.join(bad)}")
+        if not self.h0 <= 0.5 * sys.float_info.max:
+            raise ConfigurationError(f"h0={self.h0:g} is too large: the width 2*h0 is not finite")
         if self.mu1 < 0 or self.mu2 < 0:
             raise ConfigurationError("expansion capacities mu1, mu2 must be non-negative")
         if not self.mu1 + self.mu2 > 0:
@@ -494,6 +497,8 @@ def density_bounds(params: ModelParams, init: InitialData | None = None) -> tupl
     else:
         eps = params.a12 / 2
     target = params.a11 * params.a22 / (params.a12 + eps)
+    if not target > 0:  # a12 + eps overflows, or the quotient underflows
+        raise ConfigurationError("no uniform density bound: a11*a22/(a12 + eps) rounds to 0")
 
     # smallest M with f(M)/M below the target, per family
     g = params.growth

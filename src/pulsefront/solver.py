@@ -103,12 +103,14 @@ def _front_velocities(
 
     The continuous model keeps h' > 0 and g' < 0 strictly; stencil noise of a
     nearly flat profile can flip the sign by a roundoff-scale amount, so the
-    speeds are floored at zero rather than letting fronts retreat.
+    speeds are floored at zero rather than letting fronts retreat.  ``item``
+    gives Python floats, which round as NumPy scalars do but overflow to inf
+    without a warning; the stability guard then rejects the step.
     """
-    du_right = (w[0, -3] - 4.0 * w[0, -2]) / (2.0 * dxi)
-    dv_right = (w[1, -3] - 4.0 * w[1, -2]) / (2.0 * dxi)
-    du_left = (4.0 * w[0, 1] - w[0, 2]) / (2.0 * dxi)
-    dv_left = (4.0 * w[1, 1] - w[1, 2]) / (2.0 * dxi)
+    du_right = (w.item(0, -3) - 4.0 * w.item(0, -2)) / (2.0 * dxi)
+    dv_right = (w.item(1, -3) - 4.0 * w.item(1, -2)) / (2.0 * dxi)
+    du_left = (4.0 * w.item(0, 1) - w.item(0, 2)) / (2.0 * dxi)
+    dv_left = (4.0 * w.item(1, 1) - w.item(1, 2)) / (2.0 * dxi)
     vel_h = -(mu1 * du_right + mu2 * dv_right) / width
     vel_g = -(mu1 * du_left + mu2 * dv_left) / width
     return min(vel_g, 0.0), max(vel_h, 0.0)
@@ -178,7 +180,7 @@ def _stability_guard(params: ModelParams, cfg: SolverConfig, dt: float, vmax: fl
     # stable when courant^2 <= 2 * diffusion number, i.e. dt*vmax^2 <= 2*min(d)
     dmin = min(params.d1, params.d2)
     if dt * vmax * vmax > 2.0 * dmin:
-        diff_no = dt * max(params.d1, params.d2) * cfg.n**2 / width**2
+        diff_no = dt * max(params.d1, params.d2) * cfg.n**2 / (width * width)
         raise ConfigurationError(
             f"explicit advection unstable: dt={dt:.6g}, n={cfg.n} gives "
             f"dt*vmax^2={dt * vmax * vmax:.4g} > 2*min(d1,d2)={2 * dmin:.4g} "
@@ -258,6 +260,8 @@ class Trajectory:
             raise PreconditionError(
                 f"t_end={t_end:g} takes more steps of dt={self.dt:.3g} than can be recorded"
             ) from None
+        if self.n_steps < 1:
+            raise PreconditionError(f"t_end={t_end:g} rounds to no step of dt={self.dt:.3g}")
         self._snaps: list[Snapshot] = []
         self._pending = sorted(float(s) for s in snapshot_times)
         self._record()

@@ -18,7 +18,6 @@ import pulsefront as pf
 from pulsefront.model import (
     BevertonHoltGrowth,
     IdentityImpulse,
-    InitialData,
     LinearGrowth,
     LinearImpulse,
     ModelParams,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pulsefront.classify import (
-    DetectionCriteria,
     Verdict,
     _bisect_threshold,
     classify_analytic,
@@ -185,8 +184,8 @@ def test_threshold_search_computes_critical_length_once(params_benchmark, init_c
 
     outcomes = []
 
-    def spied_detect(series, params, criteria=None, **known):
-        out = real_detect(series, params, criteria, **known)
+    def spied_detect(series, params, **known):
+        out = real_detect(series, params, **known)
         outcomes.append((series, params, out))
         return out
 
@@ -347,7 +346,7 @@ def _counted_probe(monkeypatch, mu2):
 
     params = base_params_cd(1.0)
     init, cfg = InitialData.cos_quarter(2.0, 0.3, 0.1), SolverConfig(n=32, steps_per_period=25)
-    horizon, regime, upper = classify._search_regime(params, None, "mu2")
+    horizon, analytic, critical, upper = classify._search_regime(params, None, "mu2")
     steps, evidences = [0], []
     real_step, real_detect = solver.transform_step, classify.detect_outcome
 
@@ -363,7 +362,7 @@ def _counted_probe(monkeypatch, mu2):
     monkeypatch.setattr(solver, "transform_step", counted_step)
     monkeypatch.setattr(classify, "detect_outcome", spied_detect)
     verdict = classify._probe(
-        params.with_(mu2=mu2), init, cfg, horizon, None, f"mu2={mu2}", regime, upper
+        params.with_(mu2=mu2), init, cfg, horizon, f"mu2={mu2}", analytic, critical, upper
     )
     return verdict, evidences, steps[0], round(horizon / (params.tau / cfg.steps_per_period))
 
@@ -431,13 +430,13 @@ def test_probes_log_one_debug_record_each(caplog, capsys):
 def test_certificate_needs_assumptions_a2_to_a4(params_benchmark):
     import pulsefront.classify as classify
 
-    _, regime, upper = classify._search_regime(params_benchmark, None, "mu2")
+    _, _, critical, upper = classify._search_regime(params_benchmark, None, "mu2")
     assert upper is not None and len(upper.sigma_inf) == classify.CERTIFICATE_GRID
-    assert np.all(upper.delta > 0) and np.all(2.0 * upper.sigma_inf < regime["critical"])
+    assert np.all(upper.delta > 0) and np.all(2.0 * upper.sigma_inf < critical)
     # f(u)/u = 0.07 is above a11*a22/a12 = 0.06: A2 fails, the regime does not
     bad = params_benchmark.with_(growth=LinearGrowth(p=0.07))
     assert not validate_assumptions(bad, None).all_pass
-    assert classify._search_regime(bad, None, "mu2")[2] is None
+    assert classify._search_regime(bad, None, "mu2")[3] is None
 
 
 def _benchmark_bracket(seed):
@@ -499,10 +498,11 @@ def test_certificate_never_fires_on_a_spreading_run():
     import pulsefront.classify as classify
 
     params = base_params_cd(1.5625)
-    horizon, regime, upper = classify._search_regime(params, None, "mu2")
+    horizon, analytic, critical, upper = classify._search_regime(params, None, "mu2")
     cfg = SolverConfig(n=128, steps_per_period=100)
     traj = Trajectory(params, InitialData.cos_quarter(2.0, 0.3, 0.1), cfg, horizon)
     for period_end in range(100, traj.n_steps + 1, 100):
         traj.advance(period_end)
         assert classify._vanishing_certificate(traj, params, upper) is None
-    assert detect_outcome(traj.series(), params, **regime).verdict is Verdict.SPREADING
+    outcome = detect_outcome(traj.series(), params, analytic=analytic, critical=critical)
+    assert outcome.verdict is Verdict.SPREADING

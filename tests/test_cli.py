@@ -217,14 +217,46 @@ def test_cli_out_of_range_inputs_exit_cleanly(tmp_path, capsys, argv, code):
     # no eigenvalue case here exits 3: that is left to the shift overflow,
     # test_cli_eigen_shift_overflow_is_numerical_failure.
     # dt = tau / steps stays stable (dt*vmax^2 <= 2*min(d)) at tau = 20000
+    _assert_clean_exit(tmp_path, capsys, small_config_dict(steps=2_000_000), argv, code)
+
+
+@pytest.mark.parametrize(
+    ("argv", "model", "code"),
+    [
+        # a12 + a12/2 overflows, and the density bound's balance rounds to 0
+        (["simulate"], {"a12": 1.7e308}, 2),
+        (["sweep", "--axis", "a12", "--values", "1.7976931348623157e308"], {}, 2),
+        # the front speed overflows in the stability guard
+        (["sweep", "--axis", "mu2", "--values", "1e300"], {}, 2),
+        (["sweep", "--axis", "mu1", "--values", "1e160"], {}, 2),
+        (["sweep", "--axis", "a12", "--values", "1e160"], {}, 2),
+        # the diffusion number underflows to 0: the run is valid
+        (["sweep", "--axis", "h0", "--values", "1e200"], {}, 0),
+        (["sweep", "--axis", "h0", "--values", "1.7976931348623157e308"], {}, 2),  # 2*h0 overflows
+        # the monodromy matrix rounds to I; then dt = tau / 10 rounds to 0
+        (["sweep", "--axis", "tau", "--values", "5e-324"], {}, 4),
+        (["simulate", "--t-end", "1e-10"], {}, 4),  # below one step of dt = 0.5
+    ],
+)
+def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, model, code):
+    # a cheap grid (n = 16, dt = 0.5), stable on the base coefficients
+    doc = small_config_dict(n=16, steps=10, mu1=0.1, mu2=1.0)
+    doc["model"].update(model)
+    doc["run"]["out_dir"] = str(tmp_path / "out")
+    _assert_clean_exit(tmp_path, capsys, doc, argv, code)
+
+
+def _assert_clean_exit(tmp_path, capsys, doc, argv, code):
+    """The command exits with ``code``: silently on 0, else with one error line."""
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(small_config_dict(steps=2_000_000)))
+    config.write_text(json.dumps(doc))
     assert main([argv[0], "--config", str(config)] + argv[1:]) == code
     err = capsys.readouterr().err
     if code == 0:
         assert err == ""
     else:
-        assert err.startswith(("numerical failure: ", "precondition error: ")) and err.count("\n") == 1
+        prefixes = ("configuration error: ", "numerical failure: ", "precondition error: ")
+        assert err.startswith(prefixes) and err.count("\n") == 1
 
 
 def test_cli_eigen_shift_overflow_is_numerical_failure(tmp_path, capsys):

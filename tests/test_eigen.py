@@ -221,6 +221,15 @@ def test_perron_eigenvector_positive(params_disinfected):
     assert np.max(np.abs(resid)) < 1e-12
 
 
+def test_perron_eigenvector_when_the_monodromy_rounds_to_identity(params_benchmark):
+    # at tau = 5e-324 with no reset, K is exactly I and singles out no vector;
+    # the Perron vector of B = [[-0.3, 0.5], [0.1, -0.1]] is [a12, c1 + a11]
+    rep = principal_eigenvalue_monodromy(params_benchmark.with_(tau=5e-324), math.inf)
+    c1 = -LAM_INF_BENCHMARK
+    np.testing.assert_allclose(rep.eigenvector, [1.0, (c1 + 0.3) / 0.5], rtol=1e-14)
+    assert rep.lam == pytest.approx(LAM_INF_BENCHMARK, abs=1e-14)
+
+
 def test_translation_invariance_exact(params_benchmark):
     rng = np.random.default_rng(7)
     for _ in range(100):
