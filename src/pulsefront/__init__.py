@@ -34,8 +34,6 @@ from .model import (
     SaturatingImpulse,
     ValidationReport,
     density_bounds,
-    eval_growth,
-    eval_impulse,
     validate_assumptions,
 )
 from .periodic import PeriodicOrbit, fixed_domain_periodic, ode_periodic_orbit

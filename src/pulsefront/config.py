@@ -151,16 +151,12 @@ def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigurationError(f"unknown init kind {kind!r}; expected 'cos-quarter' or 'tabulated'")
 
     solver_doc = _section(doc, "solver", "configuration") if "solver" in doc else {}
-    solver_kwargs = {
-        key: _integer(solver_doc, key, "solver")
-        for key in ("n", "steps_per_period")
-        if key in solver_doc
-    }
-    if "front_update" in solver_doc:
-        solver_kwargs["front_update"] = str(solver_doc["front_update"])
-    if "negative_clip_tol" in solver_doc:
-        solver_kwargs["negative_clip_tol"] = _number(solver_doc, "negative_clip_tol", "solver")
-    solver = SolverConfig(**solver_kwargs)
+    for key in solver_doc:
+        if key not in ("n", "steps_per_period"):
+            raise ConfigurationError(
+                f"unknown field '{key}' in solver; it accepts only n and steps_per_period"
+            )
+    solver = SolverConfig(**{key: _integer(solver_doc, key, "solver") for key in solver_doc})
 
     run_doc = _section(doc, "run", "configuration")
     t_end = _number(run_doc, "t_end", "run")
@@ -244,8 +240,6 @@ def config_to_json_dict(cfg: RunConfig) -> dict:
         "solver": {
             "n": cfg.solver.n,
             "steps_per_period": cfg.solver.steps_per_period,
-            "front_update": cfg.solver.front_update,
-            "negative_clip_tol": cfg.solver.negative_clip_tol,
         },
         "run": {
             "t_end": cfg.t_end,

@@ -39,8 +39,6 @@ __all__ = [
     "InitialData",
     "AssumptionCheck",
     "ValidationReport",
-    "eval_growth",
-    "eval_impulse",
     "validate_assumptions",
     "density_bounds",
 ]
@@ -134,11 +132,6 @@ class IdentityImpulse:
     def slope_at_zero(self) -> float:
         return 1.0
 
-    @property
-    def intensity(self) -> float:
-        """Fraction of bacteria removed per event, linearized at zero density."""
-        return 0.0
-
     def lower_bound_constants(self) -> tuple[float, float]:
         return 1.0, 2.0
 
@@ -161,10 +154,6 @@ class LinearImpulse:
     @property
     def slope_at_zero(self) -> float:
         return self.rho
-
-    @property
-    def intensity(self) -> float:
-        return 1.0 - self.rho
 
     def lower_bound_constants(self) -> tuple[float, float]:
         return 1.0, 2.0
@@ -192,33 +181,11 @@ class SaturatingImpulse:
     def slope_at_zero(self) -> float:
         return self.c / self.b
 
-    @property
-    def intensity(self) -> float:
-        return 1.0 - self.c / self.b
-
     def lower_bound_constants(self) -> tuple[float, float]:
         return self.c / self.b**2, 2.0
 
 
 ImpulseFn = Union[IdentityImpulse, LinearImpulse, SaturatingImpulse]
-
-
-def eval_growth(growth: GrowthFn, u):
-    """Evaluate f(u); densities must be non-negative."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise PreconditionError("growth function is defined for non-negative densities only")
-    out = growth(u)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def eval_impulse(impulse: ImpulseFn, u):
-    """Evaluate G(u); densities must be non-negative."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0):
-        raise PreconditionError("impulse function is defined for non-negative densities only")
-    out = impulse(u)
-    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

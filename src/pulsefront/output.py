@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .periodic import PeriodicOrbit
 from .solver import TimeSeries
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "write_json",
     "timeseries_csv",
     "snapshots_csv",
-    "orbit_csv",
     "svg_front_plot",
     "svg_heatmap",
 ]
@@ -71,21 +69,6 @@ def snapshots_csv(series: TimeSeries) -> str:
         t = fmt(snap.t)
         for j in range(snap.x.size):
             lines.append(f"{t},{fmt(snap.x[j])},{fmt(snap.u[j])},{fmt(snap.v[j])}")
-    return "\n".join(lines) + "\n"
-
-
-def orbit_csv(orbit: PeriodicOrbit) -> str:
-    lines = []
-    if orbit.x is None:
-        lines.append("t,U,V")
-        for i in range(orbit.t.size):
-            lines.append(f"{fmt(orbit.t[i])},{fmt(orbit.U[i])},{fmt(orbit.V[i])}")
-    else:
-        lines.append("t,x,U,V")
-        for i in range(orbit.t.size):
-            t = fmt(orbit.t[i])
-            for j in range(orbit.x.size):
-                lines.append(f"{t},{fmt(orbit.x[j])},{fmt(orbit.U[i, j])},{fmt(orbit.V[i, j])}")
     return "\n".join(lines) + "\n"
 
 

@@ -74,7 +74,7 @@ def _config(params: ModelParams, t_end: float, n_snapshots: int = 81) -> RunConf
     return RunConfig(
         model=params,
         init=InitSpec(kind="cos-quarter", amp_u=0.3, amp_v=0.1),
-        solver=SolverConfig(n=512, steps_per_period=2000, front_update="heun"),
+        solver=SolverConfig(n=512, steps_per_period=2000),
         t_end=t_end,
         snapshot_times=tuple(i * step for i in range(n_snapshots)),
         out_dir="out",

@@ -8,7 +8,7 @@ xi = (x - g)/(h - g), which turns front motion into an advection term:
 
 Front speeds come first each step from one-sided second-order gradients of
 the current profiles (the accuracy bottleneck of the whole scheme), the
-fronts advance by Euler or Heun, and the densities then take an IMEX step:
+fronts advance by Heun, and the densities then take an IMEX step:
 diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv), advection
 and reactions explicit.  The densities are one (2, n+1) array w (rows U, V)
 that one block-diagonal dptsv call advances.  Disinfection resets u <- G(u)
@@ -34,19 +34,18 @@ __all__ = [
     "transform_step", "apply_impulse", "run", "imex_density_step",
 ]
 
+# Undershoot within this fraction of a species' sup-norm is rounding next to
+# the zero boundary values and is clipped; more means the scheme has failed.
+CLIP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     n: int = 512
     steps_per_period: int = 2000
-    front_update: str = "heun"
-    negative_clip_tol: float = 1e-12
 
     def __post_init__(self):
-        infinite = [
-            k for k in ("n", "steps_per_period", "negative_clip_tol")
-            if not math.isfinite(getattr(self, k))
-        ]
+        infinite = [k for k in ("n", "steps_per_period") if not math.isfinite(getattr(self, k))]
         if infinite:
             raise ConfigurationError(f"solver fields must be finite: {', '.join(infinite)}")
         if self.n < 16:
@@ -55,12 +54,6 @@ class SolverConfig:
             raise ConfigurationError(
                 f"need at least 10 steps per period, got {self.steps_per_period}"
             )
-        if self.front_update not in ("euler", "heun"):
-            raise ConfigurationError(
-                f"front_update must be 'euler' or 'heun', got {self.front_update!r}"
-            )
-        if not self.negative_clip_tol >= 0:
-            raise ConfigurationError("negative_clip_tol must be non-negative")
 
     @property
     def xi(self) -> np.ndarray:
@@ -118,7 +111,7 @@ def _front_velocities(
 
 def imex_density_step(
     w: np.ndarray, params: ModelParams, dt: float, dxi: float, width_new: float,
-    vel_g: float = 0.0, vel_h: float = 0.0, clip_tol: float = 1e-12,
+    vel_g: float = 0.0, vel_h: float = 0.0,
 ) -> np.ndarray:
     """One IMEX update of the (2, n+1) densities; also the frozen-front core.
 
@@ -127,7 +120,7 @@ def imex_density_step(
     the block-diagonal system: the zero coupling entry between the blocks
     leaves the next pivot untouched and subtracts only products with zero, so
     the result equals two separate solves (up to the sign of a zero).
-    Undershoot within ``clip_tol`` times the species sup-norm is clipped to
+    Undershoot within ``CLIP_TOL`` times the species sup-norm is clipped to
     zero; larger undershoot or a non-finite value aborts.
     """
     n = w.shape[1] - 1
@@ -159,10 +152,10 @@ def imex_density_step(
             raise NumericalError(f"{name} is no longer finite; scheme failure")
         if low < 0.0:
             scale = w[row].max()
-            if low < -clip_tol * scale:
+            if low < -CLIP_TOL * scale:
                 raise NumericalError(
                     f"{name} undershoot {low:.3e} exceeds the clip tolerance "
-                    f"({clip_tol:.1e} * sup = {clip_tol * scale:.3e}); scheme failure"
+                    f"({CLIP_TOL:.1e} * sup = {CLIP_TOL * scale:.3e}); scheme failure"
                 )
             np.maximum(w_new, 0.0, out=w_new)
     return out
@@ -192,22 +185,21 @@ def transform_step(
     g: float, h: float, w: np.ndarray, params: ModelParams, cfg: SolverConfig, dt: float
 ) -> tuple[float, float, np.ndarray]:
     """Advance the fronts g, h and the densities w by one step: front speeds,
-    front update, then the density update.  Returns (g1, h1, w1)."""
+    Heun front update, then the density update.  Returns (g1, h1, w1)."""
     dxi = cfg.dxi
     vg0, vh0 = _front_velocities(w, h - g, dxi, params.mu1, params.mu2)
     _stability_guard(params, cfg, dt, max(-vg0, vh0), h - g)
 
     g1, h1 = g + dt * vg0, h + dt * vh0
-    if cfg.front_update == "heun":
-        wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, cfg.negative_clip_tol)
-        vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
-        g1 = g + 0.5 * dt * (vg0 + vg1)
-        h1 = h + 0.5 * dt * (vh0 + vh1)
+    wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0)
+    vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
+    g1 = g + 0.5 * dt * (vg0 + vg1)
+    h1 = h + 0.5 * dt * (vh0 + vh1)
 
     vg = (g1 - g) / dt
     vh = (h1 - h) / dt
     _stability_guard(params, cfg, dt, max(-vg, vh), h1 - g1)
-    return g1, h1, imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh, cfg.negative_clip_tol)
+    return g1, h1, imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh)
 
 
 def apply_impulse(w: np.ndarray, params: ModelParams) -> None:
@@ -244,10 +236,16 @@ class Trajectory:
             raise PreconditionError(f"t_end must be finite and positive, got {t_end}")
         self.params, self.cfg = params, cfg
         self.dt = params.tau / cfg.steps_per_period
+        if not self.dt > 0:
+            raise ConfigurationError(
+                f"tau={params.tau:g} / steps_per_period={cfg.steps_per_period} rounds to dt=0"
+            )
         self.c2, self.c3 = density_bounds(params, init)
-        self._xi = cfg.xi
-
-        self.w = np.array(init.sample(-params.h0 + self._xi * (2.0 * params.h0)))
+        try:
+            self._xi = cfg.xi
+            self.w = np.array(init.sample(-params.h0 + self._xi * (2.0 * params.h0)))
+        except MemoryError:
+            raise ConfigurationError(f"n={cfg.n} nodes are more than memory can hold") from None
         if np.any(self.w < 0):
             raise ConfigurationError("initial densities must be non-negative")
         self.w[:, 0] = self.w[:, -1] = 0.0
@@ -256,7 +254,7 @@ class Trajectory:
         try:
             self.n_steps = self.steps_to(t_end)
             self._rec = np.empty((5, self.n_steps + 1))  # rows t, g, h, sup_u, sup_v
-        except (ZeroDivisionError, OverflowError, ValueError, MemoryError):
+        except (OverflowError, ValueError, MemoryError):
             raise PreconditionError(
                 f"t_end={t_end:g} takes more steps of dt={self.dt:.3g} than can be recorded"
             ) from None

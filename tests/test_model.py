@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pulsefront.errors import ConfigurationError, PreconditionError
+from pulsefront.errors import ConfigurationError
 from pulsefront.model import (
     BevertonHoltGrowth,
     IdentityImpulse,
@@ -13,8 +13,6 @@ from pulsefront.model import (
     ModelParams,
     SaturatingImpulse,
     density_bounds,
-    eval_growth,
-    eval_impulse,
     validate_assumptions,
 )
 from pulsefront.solver import SolverConfig
@@ -22,22 +20,15 @@ from pulsefront.solver import SolverConfig
 
 def test_growth_evals():
     bh = BevertonHoltGrowth(m=1.0, a=10.0)
-    assert eval_growth(bh, 0.0) == 0.0
+    assert bh(0.0) == 0.0
     assert bh.slope_at_zero == pytest.approx(0.1)
-    assert eval_growth(LinearGrowth(p=0.05), 2.0) == pytest.approx(0.1)
+    assert LinearGrowth(p=0.05)(2.0) == pytest.approx(0.1)
 
 
 def test_impulse_evals():
     assert SaturatingImpulse(c=0.5, b=10.0).slope_at_zero == pytest.approx(0.05)
-    assert eval_impulse(IdentityImpulse(), 3.7) == 3.7
-    assert eval_impulse(LinearImpulse(rho=0.5), 2.0) == pytest.approx(1.0)
-
-
-def test_negative_density_rejected():
-    with pytest.raises(PreconditionError):
-        eval_growth(LinearGrowth(p=1.0), -0.1)
-    with pytest.raises(PreconditionError):
-        eval_impulse(IdentityImpulse(), np.array([0.5, -1e-9]))
+    assert IdentityImpulse()(3.7) == 3.7
+    assert LinearImpulse(rho=0.5)(2.0) == pytest.approx(1.0)
 
 
 def test_variant_invariants_enforced():
@@ -57,7 +48,7 @@ def test_params_structural_checks(params_benchmark):
 
 
 MODEL_FIELDS = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau")
-SOLVER_FIELDS = ("n", "steps_per_period", "negative_clip_tol")
+SOLVER_FIELDS = ("n", "steps_per_period")
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -73,11 +64,6 @@ def test_non_finite_fields_rejected(params_benchmark, field, bad):
             params_benchmark.with_(**{name: bad})
         else:
             SolverConfig(**{name: bad})
-
-
-def test_intensity():
-    assert IdentityImpulse().intensity == 0.0
-    assert SaturatingImpulse(c=0.5, b=10.0).intensity == pytest.approx(0.95)
 
 
 @given(st.floats(0.01, 50.0), st.floats(0.01, 50.0))

@@ -20,8 +20,6 @@ def test_grid_and_config_invariants():
         SolverConfig(n=8)
     with pytest.raises(ConfigurationError):
         SolverConfig(steps_per_period=5)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(front_update="rk9")
 
 
 def test_zero_data_is_equilibrium(params_benchmark):
@@ -120,21 +118,6 @@ def test_undershoot_abort():
     with pytest.raises(NumericalError, match="undershoot"):
         imex_density_step(np.array([u, v]), base_params_a(), dt=0.2, dxi=1.0 / n,
                           width_new=4.0, vel_g=0.0, vel_h=12.0)
-
-
-def test_euler_front_update(params_benchmark, init_cos):
-    # retained for convergence studies: the Euler-Heun front gap is the
-    # front integrator's own first-order error and shrinks linearly with dt
-    gaps = []
-    for m in (500, 1000, 2000):
-        h_heun = run(params_benchmark, init_cos,
-                     SolverConfig(n=128, steps_per_period=m), 5.0).h[-1]
-        h_euler = run(params_benchmark, init_cos,
-                      SolverConfig(n=128, steps_per_period=m, front_update="euler"), 5.0).h[-1]
-        gaps.append(abs(h_euler - h_heun))
-    assert gaps[0] / gaps[1] > 1.8
-    assert gaps[1] / gaps[2] > 1.8
-    assert gaps[2] < 1e-3
 
 
 def test_run_is_deterministic(params_disinfected, init_cos):
