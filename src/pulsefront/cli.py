@@ -218,7 +218,7 @@ def _cmd_reproduce(args) -> int:
     series = result["series"]
 
     atomic_write(out_dir / "fronts.svg", svg_front_plot(series, f"{args.figure}: g(t), h(t)"))
-    atomic_write(out_dir / "heatmap.svg", svg_heatmap(series, "u", title=f"{args.figure}: u(t, x)"))
+    atomic_write(out_dir / "heatmap.svg", svg_heatmap(series, title=f"{args.figure}: u(t, x)"))
 
     outcome = cls.detect_outcome(series, config.model)
     write_json(out_dir / "verdict.json", outcome.to_json_dict() | {"figure": args.figure})

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericalError, PreconditionError
 from .model import ModelParams
@@ -54,6 +53,7 @@ __all__ = [
 ]
 
 PROFILE_SAMPLES = 201
+ROBIN_NODES = 1001
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,9 @@ class EigenReport:
     c1, c2          lambda-independent shifts, the eigenvalues of B
     k0, y0          mode mixing and period multiplier e^{(lam+c1)tau}
     phi_psi_profile samples (t, Phi(t), Psi(t)) on [0, tau]; the t = 0 row is
-                    the post-reset state, the t = tau row the periodic one
-    monodromy_matrix, eigenvector
-                    exp(B*tau) @ D = e^{c1 tau} K (report only: may be 0 or
-                    inf) and its Perron eigenvector (monodromy route)
+                    the post-reset state, the t = tau row the pre-reset
+                    periodic one, a positive Perron vector of
+                    exp(B*tau) @ diag(G'(0), 1)
     """
 
     lam: float
@@ -80,8 +79,6 @@ class EigenReport:
     k0: float
     y0: float
     phi_psi_profile: np.ndarray
-    monodromy_matrix: np.ndarray | None = None
-    eigenvector: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -117,10 +114,16 @@ def dirichlet_lambda0(interval_length: float) -> float:
     return ratio**2
 
 
-def _slopes(params: ModelParams) -> tuple[float, float]:
-    fp0 = params.growth.slope_at_zero
-    gp0 = params.impulse.slope_at_zero
-    return fp0, gp0
+def _bisect(above, lo: float, hi: float) -> float:
+    """Root in [lo, hi], where ``above(x)`` says it lies above x, to adjacent floats."""
+    mid = 0.5 * lo + 0.5 * hi
+    while lo < mid < hi:
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
 
 
 def _shifts(params: ModelParams, lambda0: float) -> tuple[float, float, float, float]:
@@ -131,7 +134,7 @@ def _shifts(params: ModelParams, lambda0: float) -> tuple[float, float, float, f
     they are formed without the cancellation that c1 - c2 or a11 + d1*lambda0
     + c1 suffer once d*lambda0 dwarfs the other coefficients.
     """
-    fp0, _ = _slopes(params)
+    fp0 = params.growth.slope_at_zero
     s = params.a22 + (params.d2 - params.d1) * lambda0 - params.a11  # B[0, 0] - B[1, 1]
     root = math.hypot(s, 2.0 * math.sqrt(params.a12 * fp0))
     base = -(params.d1 + params.d2) * lambda0 - params.a11 - params.a22
@@ -144,17 +147,18 @@ def _shifts(params: ModelParams, lambda0: float) -> tuple[float, float, float, f
     return (c1, c2, big, small) if s > 0 else (c1, c2, small, big)
 
 
-def _profile(params: ModelParams, lambda0: float, y0: float, k0: float) -> np.ndarray:
+def _profile(params: ModelParams, lambda0: float, y0: float, k0: float,
+             gap: float, n12: float) -> np.ndarray:
     """Sampled (t, Phi, Psi) on [0, tau] in the standard normalization.
 
     Phi(t) = [a12 e^{k1 t} - n12 k0 e^{k2 t}] / (a12 f'(0) + n12^2), with
     k1 = lam + c1 = ln(y0)/tau, k2 = k1 - (c1 - c2) and Psi the matching
-    second component.  The determinant a12 f'(0) + n12^2 overflows once n12
-    passes 1e154, so every term is divided by the larger of n12 and
-    sqrt(a12 f'(0)) first.  Raises NumericalError when a sample is not finite.
+    second component; gap and n12 are the gaps of ``_shifts``.  a12 f'(0) +
+    n12^2 overflows once n12 passes 1e154, so every term is divided by the
+    larger of n12 and sqrt(a12 f'(0)) first.  Raises NumericalError when a
+    sample is not finite.
     """
-    fp0, _ = _slopes(params)
-    _, _, gap, n12 = _shifts(params, lambda0)
+    fp0 = params.growth.slope_at_zero
     s = max(n12, math.sqrt(params.a12 * fp0))
     a, f, n = params.a12 / s, fp0 / s, n12 / s
     det = a * f + n * n  # (a12 f'(0) + n12^2) / s^2, in [1, 2]
@@ -186,21 +190,16 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
         raise PreconditionError(f"interval length must be positive or inf, got {interval_length}")
     lambda0 = 0.0 if interval_length == math.inf else dirichlet_lambda0(interval_length)
 
-    fp0, gp0 = _slopes(params)
+    fp0, gp0 = params.growth.slope_at_zero, params.impulse.slope_at_zero
     if not gp0 > 0:
         raise PreconditionError("impulse slope G'(0) must be positive")
     c1, c2, gap, n12 = _shifts(params, lambda0)
     root = gap + n12  # c1 - c2
     E, one_minus_E = math.exp(-root * params.tau), -math.expm1(-root * params.tau)
-    K0 = np.array([[gap + E * n12, params.a12 * one_minus_E], [fp0 * one_minus_E, n12 + E * gap]])
-    K = K0 / root @ np.diag([gp0, 1.0])
-    (k00, k01), (k10, k11) = K
+    k00, k01 = (gap + E * n12) / root * gp0, params.a12 * one_minus_E / root
+    k10, k11 = fp0 * one_minus_E / root * gp0, (n12 + E * gap) / root
     r = (k00 + k11 + math.hypot(k00 - k11, 2.0 * math.sqrt(k01 * k10))) / 2.0
     lam = -c1 - math.log(r) / params.tau
-    # the eigenvector form that does not cancel r against the larger diagonal entry
-    vec = np.array([k01, r - k00] if k11 > k00 else [r - k11, k10])
-    if not vec.max() > 0:  # K rounds to I under the identity reset: B's Perron vector
-        vec = np.array([params.a12, n12])
 
     # express the eigenpair in the closed-form parameterization for the report
     y0 = 1.0 / r
@@ -208,8 +207,6 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
         k0, y0 = 0.0, 1.0
     else:
         k0 = n12 * (y0 - 1.0) / (fp0 - fp0 * E * y0)
-    with np.errstate(all="ignore"):  # report only: e^{c1 tau} may leave the float range
-        M = np.exp(c1 * params.tau) * K
     return EigenReport(
         lam=lam,
         method="monodromy",
@@ -218,9 +215,7 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
         c2=c2,
         k0=k0,
         y0=y0,
-        phi_psi_profile=_profile(params, lambda0, y0, k0),
-        monodromy_matrix=M,
-        eigenvector=vec / vec.max(),
+        phi_psi_profile=_profile(params, lambda0, y0, k0, gap, n12),
     )
 
 
@@ -235,12 +230,12 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
     """
     if not (math.isfinite(interval_length) and interval_length > 0):
         raise PreconditionError("closed-form route needs a finite positive interval length")
-    fp0, gp0 = _slopes(params)
+    fp0, gp0 = params.growth.slope_at_zero, params.impulse.slope_at_zero
     if not (0.0 < gp0 <= 1.0):
         raise PreconditionError(f"closed-form route needs G'(0) in (0, 1], got {gp0}")
 
     lambda0 = dirichlet_lambda0(interval_length)
-    c1, c2, _, n12 = _shifts(params, lambda0)
+    c1, c2, gap, n12 = _shifts(params, lambda0)
     tau = params.tau
     E = math.exp((c2 - c1) * tau)
 
@@ -267,15 +262,7 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
                 f"(F({lo:.3g})={flo:.3g}, F({hi:.3g})={fhi:.3g}); "
                 "parameters outside the reduction's regime"
             )
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-            if F(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        k0 = 0.5 * (lo + hi)
+        k0 = _bisect(lambda k: F(k) > 0.0, lo, hi)
         y0 = (n12 + n21 * k0) / (n12 + n22 * k0)
         if not math.isfinite(y0):
             raise NumericalError(
@@ -291,7 +278,7 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
         c2=c2,
         k0=k0,
         y0=y0,
-        phi_psi_profile=_profile(params, lambda0, y0, k0),
+        phi_psi_profile=_profile(params, lambda0, y0, k0, gap, n12),
     )
 
 
@@ -321,7 +308,7 @@ def eigenfunction_envelope_bounds(params: ModelParams) -> tuple[float, float, fl
     the coefficients and the initial-width spatial eigenvalue.  Raises
     NumericalError when one of them leaves the float range.
     """
-    fp0, gp0 = _slopes(params)
+    fp0, gp0 = params.growth.slope_at_zero, params.impulse.slope_at_zero
     if not (0.0 < gp0 <= 1.0):
         raise PreconditionError("envelope bounds need G'(0) in (0, 1]")
     lam0_h0 = dirichlet_lambda0(2.0 * params.h0)
@@ -339,32 +326,30 @@ def eigenfunction_envelope_bounds(params: ModelParams) -> tuple[float, float, fl
     return bounds
 
 
-def robin_eigen(d: float, nodes: int = 1001) -> RobinEigenReport:
+def robin_eigen(d: float) -> RobinEigenReport:
     """Principal eigenpair of d*phi'' + phi'/2 + mu*phi = 0 with phi'(0)=phi(1)=0.
 
     With alpha = -1/(4d), the eigenvalue condition is tan(beta) = beta/alpha;
     the minimal positive root sits in (pi/2, pi) and yields the positive,
     strictly decreasing eigenfunction
-    phi(x) = -e^{alpha x} sqrt(alpha^2 + beta0^2) sin(beta0 (x - 1)),
-    returned sup-normalized.  mu0 follows from beta0 = sqrt(4 d mu0 - 1/4)/(2d).
+    phi(x) = -e^{alpha x} sin(beta0 (x - 1)), returned sup-normalized on
+    ROBIN_NODES points.  mu0 follows from beta0 = sqrt(4 d mu0 - 1/4)/(2d).
     """
-    if not d > 0:
-        raise PreconditionError(f"diffusion coefficient must be positive, got d={d}")
+    if not (math.isfinite(d) and d > 0):
+        raise PreconditionError(f"diffusion coefficient must be finite and positive, got d={d}")
     alpha = -1.0 / (4.0 * d)
 
     def crossing(beta: float) -> float:
-        # tan(beta) = beta/alpha restated without the tangent pole
+        # tan(beta) = beta/alpha without the tangent pole; increasing from alpha to pi
         return alpha * math.sin(beta) - beta * math.cos(beta)
 
-    try:
-        beta0 = brentq(crossing, math.pi / 2 + 1e-12, math.pi - 1e-12, xtol=1e-15, rtol=1e-15)
-    except ValueError as exc:  # pragma: no cover - bracket is analytic
-        raise NumericalError(f"eigenfrequency bracket failed for d={d}") from exc
+    beta0 = _bisect(lambda beta: crossing(beta) < 0.0, math.pi / 2, math.pi)
     mu0 = d * beta0 * beta0 + 1.0 / (16.0 * d)
+    if not math.isfinite(mu0):
+        raise NumericalError(f"Robin eigenvalue leaves the float range for d={d}")
 
-    x = np.linspace(0.0, 1.0, nodes)
-    amp = math.sqrt(alpha * alpha + beta0 * beta0)
-    phi = -np.exp(alpha * x) * amp * np.sin(beta0 * (x - 1.0))
+    x = np.linspace(0.0, 1.0, ROBIN_NODES)
+    phi = -np.exp(alpha * x) * np.sin(beta0 * (x - 1.0))
     # phi is strictly decreasing, so the sup-norm is attained at x = 0
     phi0 = phi / phi[0]
     return RobinEigenReport(mu0=mu0, beta0=beta0, x=x, phi0=phi0)

@@ -25,7 +25,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError
 
 __all__ = [
     "LinearGrowth",
@@ -302,6 +302,9 @@ class InitialData:
 # ---------------------------------------------------------------------------
 # assumption validation
 
+VALIDATION_U_MAX = 100.0
+VALIDATION_SAMPLES = 1000
+
 
 @dataclass(frozen=True)
 class AssumptionCheck:
@@ -338,30 +341,21 @@ class ValidationReport:
         }
 
 
-def validate_assumptions(
-    params: ModelParams,
-    init: InitialData | None,
-    u_max: float = 100.0,
-    n_samples: int = 1000,
-) -> ValidationReport:
+def validate_assumptions(params: ModelParams, init: InitialData | None) -> ValidationReport:
     """Check the admissibility conditions A1-A4 and report each one.
 
     Closed-form facts (slopes at zero, the asymptotic slope margin, the
     quadratic lower-bound constants) are evaluated exactly; shape conditions
-    are sampled on a uniform grid of ``n_samples`` points in (0, u_max].
-    Failures are reported, never raised.  A pure function of its inputs.
+    are sampled on a uniform grid of VALIDATION_SAMPLES points in
+    (0, VALIDATION_U_MAX].  Failures are reported, never raised.  A pure
+    function of its inputs.
     """
-    if not u_max > 0:
-        raise PreconditionError("u_max must be positive")
-    if n_samples < 2:
-        raise PreconditionError("n_samples must be at least 2")
-
     checks: list[AssumptionCheck] = []
-    us = np.linspace(u_max / n_samples, u_max, n_samples)
+    us = np.linspace(VALIDATION_U_MAX / VALIDATION_SAMPLES, VALIDATION_U_MAX, VALIDATION_SAMPLES)
 
     # A1: initial profiles vanish at the endpoints and are positive inside.
     if init is not None:
-        xs = np.linspace(-params.h0, params.h0, n_samples)
+        xs = np.linspace(-params.h0, params.h0, VALIDATION_SAMPLES)
         u0, v0 = init.sample(xs)
         end_tol = 1e-9 * max(float(np.max(np.abs(u0))), float(np.max(np.abs(v0))), 1e-300)
         ends_ok = (

@@ -77,6 +77,7 @@ def snapshots_csv(series: TimeSeries) -> str:
 
 _W, _H = 720, 440
 _ML, _MR, _MT, _MB = 64, 16, 24, 44
+HEATMAP_COLUMNS = 256
 
 
 def _px(x: float) -> str:
@@ -163,25 +164,24 @@ def _colormap() -> list[str]:
 _CMAP = _colormap()
 
 
-def svg_heatmap(series: TimeSeries, field: str = "u", columns: int = 256,
-                title: str | None = None) -> str:
-    """Raster of a density over (t, x) built from the stored snapshots.
+def svg_heatmap(series: TimeSeries, title: str | None = None) -> str:
+    """Raster of the density u over (t, x) built from the stored snapshots.
 
-    Each snapshot becomes one pixel row; profiles are resampled onto a fixed
-    x range covering the full front excursion, with zero outside the moving
-    interval.  Adjacent same-color cells are merged into one rectangle.
+    Each snapshot becomes one row of HEATMAP_COLUMNS pixels; profiles are
+    resampled onto a fixed x range covering the full front excursion, with
+    zero outside the moving interval.  Adjacent same-color cells are merged
+    into one rectangle.
     """
     snaps = series.snapshots
     if not snaps:
         raise ValueError("heatmap needs at least one snapshot")
     xmin = min(float(s.x[0]) for s in snaps)
     xmax = max(float(s.x[-1]) for s in snaps)
-    xs = np.linspace(xmin, xmax, columns)
+    xs = np.linspace(xmin, xmax, HEATMAP_COLUMNS)
     rows = []
     vmax = 0.0
     for s in snaps:
-        prof = getattr(s, field)
-        resampled = np.interp(xs, s.x, prof, left=0.0, right=0.0)
+        resampled = np.interp(xs, s.x, s.u, left=0.0, right=0.0)
         # outside the current interval the density is identically zero
         resampled[(xs < s.x[0]) | (xs > s.x[-1])] = 0.0
         vmax = max(vmax, float(np.max(resampled)))
@@ -190,17 +190,17 @@ def svg_heatmap(series: TimeSeries, field: str = "u", columns: int = 256,
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
-    cell_w = plot_w / columns
+    cell_w = plot_w / HEATMAP_COLUMNS
     cell_h = plot_h / len(rows)
-    parts = _frame(title or f"{field}(t, x)")
+    parts = _frame(title or "u(t, x)")
     for i, row in enumerate(rows):
         # time increases upward from the bottom edge
         y = _MT + plot_h - (i + 1) * cell_h
         idx = np.minimum((row / vmax * 255.0).astype(int), 255)
         j = 0
-        while j < columns:
+        while j < HEATMAP_COLUMNS:
             k = j
-            while k + 1 < columns and idx[k + 1] == idx[j]:
+            while k + 1 < HEATMAP_COLUMNS and idx[k + 1] == idx[j]:
                 k += 1
             parts.append(
                 f'<rect x="{_px(_ML + j * cell_w)}" y="{_px(y)}" '
@@ -213,7 +213,7 @@ def svg_heatmap(series: TimeSeries, field: str = "u", columns: int = 256,
     )
     parts.append(
         f'<text x="{_W - _MR}" y="16" text-anchor="end" font-family="monospace" '
-        f'font-size="10">max {field} = {vmax:.6g}</text>'
+        f'font-size="10">max u = {vmax:.6g}</text>'
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

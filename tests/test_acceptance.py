@@ -348,7 +348,7 @@ def test_criterion_13_robin_eigenproblem():
     t0 = time.perf_counter()
     worst = 0.0
     for d in (0.1, 0.4, 1.0):
-        rep = pf.robin_eigen(d, nodes=1001)
+        rep = pf.robin_eigen(d)
         x, phi = rep.x, rep.phi0
         h = x[1] - x[0]
         i = np.arange(2, x.size - 2)

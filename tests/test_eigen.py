@@ -68,11 +68,11 @@ def test_monodromy_report_stays_finite_on_tiny_intervals():
     whole = lambda_infinity(equal)
     for length in (1e-3, 1e-20, 1e-150):
         rep = principal_eigenvalue_monodromy(equal, length)
-        assert np.array_equal(rep.eigenvector, whole.eigenvector)
+        assert np.array_equal(rep.phi_psi_profile[:, 1:], whole.phi_psi_profile[:, 1:])
         assert rep.lam == pytest.approx(0.2 * rep.lambda0 + whole.lam, rel=1e-15)
         rep = principal_eigenvalue_monodromy(p, length)
-        report = [rep.lam, rep.k0, rep.y0, *rep.phi_psi_profile.ravel(), *rep.eigenvector]
-        assert all(math.isfinite(v) for v in report) and np.all(rep.eigenvector > 0)
+        report = [rep.lam, rep.k0, rep.y0, *rep.phi_psi_profile.ravel()]
+        assert all(math.isfinite(v) for v in report) and np.all(rep.phi_psi_profile[:, 1:] > 0)
     # (c1 - c2) * tau overflows in the profile's exponent
     rep = principal_eigenvalue_monodromy(p.with_(tau=20000.0), 3.2e-154)
     assert np.all(np.isfinite(rep.phi_psi_profile))
@@ -98,17 +98,20 @@ def test_profile_stays_positive_when_the_mode_determinant_overflows():
     np.testing.assert_allclose(rep.phi_psi_profile[:, 2], n12 / det, rtol=1e-14, atol=0)
 
 
-def test_closed_form_fails_loudly_on_very_short_intervals():
-    # with G'(0) < 1 the period multiplier y0 overflows at L = 1e-100; the
-    # oracle raises instead of warning and returning NaN
+def test_closed_form_agrees_on_very_short_intervals():
+    # with G'(0) < 1 the root k0 of the closed form sits ~1e-25 (L = 1e-12)
+    # down to ~1e-201 (L = 1e-100) above the window end 0; only bisecting
+    # to adjacent floats resolves it, and y0 = 1/rho = 2 on both routes
     from pulsefront.presets import base_params_cd
 
     p = base_params_cd(1.0).with_(impulse=LinearImpulse(rho=0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="float range"):
-            principal_eigenvalue_closed_form(p, 1e-100)
-        assert math.isfinite(principal_eigenvalue_monodromy(p, 1e-100).lam)
+        for length in (1e-12, 1e-20, 1e-100):
+            mono = principal_eigenvalue_monodromy(p, length)
+            closed = principal_eigenvalue_closed_form(p, length)
+            assert closed.y0 == pytest.approx(mono.y0, rel=1e-14)
+            np.testing.assert_allclose(closed.phi_psi_profile, mono.phi_psi_profile, rtol=1e-14, atol=0)
 
 
 def test_oracle_scan_across_float_range():
@@ -123,7 +126,8 @@ def test_oracle_scan_across_float_range():
             mono = principal_eigenvalue_monodromy(p, length)
             closed = principal_eigenvalue_closed_form(p, length)
             assert abs(mono.lam - closed.lam) <= 1e-10 * abs(closed.lam)
-            assert np.all(np.isfinite(mono.eigenvector)) and np.all(mono.eigenvector > 0)
+            prof = mono.phi_psi_profile[:, 1:]
+            assert np.all(np.isfinite(prof)) and np.all(prof > 0)
 
 
 def test_identity_impulse_reduces_to_matrix_eigenvalue(params_benchmark):
@@ -214,19 +218,28 @@ def test_profile_reset_and_periodicity(params_disinfected):
 
 
 def test_perron_eigenvector_positive(params_disinfected):
-    rep = principal_eigenvalue_monodromy(params_disinfected, 7.0)
-    assert rep.eigenvector is not None and np.all(rep.eigenvector > 0)
-    assert rep.monodromy_matrix is not None and np.all(rep.monodromy_matrix > 0)
-    resid = rep.monodromy_matrix @ rep.eigenvector - math.exp(-rep.lam * params_disinfected.tau) * rep.eigenvector
+    # the pre-reset row of the profile is the Perron vector of the monodromy
+    # M = exp(B*tau) @ diag(G'(0), 1), formed here independently with expm
+    from scipy.linalg import expm
+
+    p = params_disinfected
+    rep = principal_eigenvalue_monodromy(p, 7.0)
+    B = np.array([[-p.d1 * rep.lambda0 - p.a11, p.a12],
+                  [p.growth.slope_at_zero, -p.d2 * rep.lambda0 - p.a22]])
+    M = expm(B * p.tau) @ np.diag([p.impulse.slope_at_zero, 1.0])
+    vec = rep.phi_psi_profile[-1, 1:] / rep.phi_psi_profile[-1, 1:].max()
+    assert np.all(vec > 0) and np.all(M > 0)
+    resid = M @ vec - math.exp(-rep.lam * p.tau) * vec
     assert np.max(np.abs(resid)) < 1e-12
 
 
 def test_perron_eigenvector_when_the_monodromy_rounds_to_identity(params_benchmark):
     # at tau = 5e-324 with no reset, K is exactly I and singles out no vector;
-    # the Perron vector of B = [[-0.3, 0.5], [0.1, -0.1]] is [a12, c1 + a11]
+    # the profile is B's Perron vector [a12, c1 + a11], B = [[-0.3, 0.5], [0.1, -0.1]]
     rep = principal_eigenvalue_monodromy(params_benchmark.with_(tau=5e-324), math.inf)
     c1 = -LAM_INF_BENCHMARK
-    np.testing.assert_allclose(rep.eigenvector, [1.0, (c1 + 0.3) / 0.5], rtol=1e-14)
+    vec = rep.phi_psi_profile[-1, 1:]
+    np.testing.assert_allclose(vec / vec[0], [1.0, (c1 + 0.3) / 0.5], rtol=1e-14)
     assert rep.lam == pytest.approx(LAM_INF_BENCHMARK, abs=1e-14)
 
 
@@ -320,13 +333,13 @@ def _fd_residual(rep, d: float) -> float:
 
 @pytest.mark.parametrize("d", [0.1, 0.4, 1.0])
 def test_robin_residual_oracle(d):
-    rep = robin_eigen(d, nodes=1001)
+    rep = robin_eigen(d)
     assert _fd_residual(rep, d) < 1e-6
 
 
 @pytest.mark.parametrize("d", [0.1, 0.4, 1.0])
 def test_robin_shape_and_boundaries(d):
-    rep = robin_eigen(d, nodes=1001)
+    rep = robin_eigen(d)
     assert math.pi / 2 < rep.beta0 < math.pi
     phi, x = rep.phi0, rep.x
     assert np.all(phi[:-1] > 0)  # positive on [0, 1)
@@ -341,3 +354,21 @@ def test_robin_shape_and_boundaries(d):
 def test_robin_rejects_bad_diffusion():
     with pytest.raises(PreconditionError):
         robin_eigen(-1.0)
+
+
+@pytest.mark.parametrize(
+    "d, error", [(math.inf, PreconditionError), (1e-310, NumericalError), (1e12, None), (1e-20, None)]
+)
+def test_robin_edge_diffusion(d, error):
+    # at d = 1e-310, mu0 ~ 1/(16 d) = 6.25e308 overflows
+    if error is not None:
+        with pytest.raises(error):
+            robin_eigen(d)
+        return
+    # the roots lie 1.6e-13 above pi/2 (d = 1e12) and 1.3e-19 below pi
+    # (d = 1e-20), which rounds to math.pi, itself below pi
+    rep = robin_eigen(d)
+    assert math.pi / 2 < rep.beta0 <= math.pi
+    assert np.all(np.isfinite(rep.phi0)) and rep.phi0[0] == 1.0 and np.all(np.diff(rep.phi0) <= 0)
+    limit = d * (math.pi / 2) ** 2 if d > 1 else 1.0 / (16.0 * d)
+    assert rep.mu0 == pytest.approx(limit, rel=1e-12)

@@ -125,8 +125,8 @@ def test_validate_identity_impulse_informational(params_benchmark, init_cos):
 
 
 def test_validate_is_pure(params_disinfected, init_cos):
-    r1 = validate_assumptions(params_disinfected, init_cos, u_max=50.0, n_samples=333)
-    r2 = validate_assumptions(params_disinfected, init_cos, u_max=50.0, n_samples=333)
+    r1 = validate_assumptions(params_disinfected, init_cos)
+    r2 = validate_assumptions(params_disinfected, init_cos)
     assert r1 == r2
 
 

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pulsefront
 
@@ -13,3 +17,12 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"pulsefront.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"pulsefront.{info.name}.__all__ names undefined {missing}"
+
+
+def test_cli_import_loads_no_optimize_or_integrate():
+    # both cost a few hundred ms of startup; only the ODE orbit defers to
+    # scipy.integrate, and nothing needs scipy.optimize
+    code = "import sys, pulsefront.cli; print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(pulsefront.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
