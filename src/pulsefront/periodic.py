@@ -7,20 +7,22 @@ uniform supersolution constants:
   the reset U <- G(U) once per period (the whole-line limit dynamics),
   integrated by LSODA (``scipy.integrate.odeint``, imported on first use),
   where a failed or non-finite integration raises NumericalError, and
-* the fixed-interval Dirichlet problem, advanced with the same IMEX core as
-  the moving-front solver but with frozen fronts.
+* the fixed-interval Dirichlet problem, advanced by the moving-front IMEX
+  step with frozen fronts (``solver.frozen_step``: its matrix is the same
+  for the whole period, so it is factored once per map).
 
 Both go through one solver, ``_fixed_point``: a few monotone Picard sweeps
 w <- P(w) from above, then Newton steps on F(w) = P(w) - w whose linear
-systems (I - P'(w)) delta = F(w) are solved by GMRES with finite-difference
-Jacobian-vector products (Newton-Krylov; Knoll & Keyes, J. Comput. Phys.
-193, 2004).  For a monotone concave map the Newton iterate from above lies
-in the order interval [w*, P(w)], so each iterate is projected onto
-[0, P(w)]: the projection only absorbs roundoff and difference error, and
-the search stays above the largest fixed point instead of landing on the
-zero orbit when a positive one exists.  A start below the orbit (a
-subsolution, P(w) >= w) is held at or above P(w) instead, for the same
-reason.
+systems (I - P'(w)) delta = F(w) are solved by one GMRES cycle with
+finite-difference Jacobian-vector products (Newton-Krylov; Knoll & Keyes,
+J. Comput. Phys. 193, 2004), so a Newton step costs the maps of its Krylov
+directions plus one for the new iterate.  For a monotone concave map the
+Newton iterate from above lies in the order interval [w*, P(w)], so each
+iterate is projected onto [0, P(w)]: the projection only absorbs roundoff
+and difference error, and the search stays above the largest fixed point
+instead of landing on the zero orbit when a positive one exists.  A start
+below the orbit (a subsolution, P(w) >= w) is held at or above P(w)
+instead, for the same reason.
 
 The limit is either the zero state or the unique positive periodic orbit;
 which one occurs is dictated by the sign of the interval's principal
@@ -35,12 +37,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.lapack import dlartg
 
 from .eigen import principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
 from .model import ModelParams, density_bounds
-from .solver import imex_density_step
+from .solver import frozen_step
 
 __all__ = ["PeriodicOrbit", "ode_periodic_orbit", "fixed_domain_periodic", "ode_period_map"]
 
@@ -149,11 +151,62 @@ def _newton_iterate(P, w: np.ndarray, pw: np.ndarray, tol: float) -> np.ndarray:
         up, down = np.maximum(x, 0.0), np.maximum(-x, 0.0)
         return x - (P(w + eps * up) - P(w + eps * down)) / eps
 
-    A = LinearOperator((w.size, w.size), matvec=defect_jvp, dtype=float)
-    delta, _ = gmres(A, f, rtol=GMRES_RTOL, atol=GMRES_ATOL * tol, restart=w.size, maxiter=1)
+    delta = _gmres(defect_jvp, f, GMRES_RTOL, GMRES_ATOL * tol)
     if f.min() >= 0.0:  # a start below the orbit: at least as far up as P(w)
         return np.maximum(w + delta, pw)
     return np.clip(w + delta, 0.0, pw)
+
+
+def _gmres(matvec, b: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """One unrestarted GMRES cycle from x = 0 for A x = b, with A x = ``matvec(x)``.
+
+    The arithmetic of ``scipy.sparse.linalg.gmres(A, b, rtol=rtol, atol=atol,
+    restart=b.size, maxiter=1)``: modified Gram-Schmidt, LAPACK dlartg Givens
+    rotations, the same tolerance and the same early and breakdown exits.  It
+    leaves out scipy's closing product b - A x, which only sets an info flag
+    and costs one more period map; a test holds the two equal bit for bit.
+    """
+    n = b.size
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), float(rtol) * float(bnrm2))
+    if bnrm2 == 0 or bnrm2 < atol:
+        return np.zeros(n)
+    ptol = bnrm2 * min(1.0, atol / bnrm2)
+    v, h, givens, S = np.empty((n + 1, n)), np.zeros((n, n)), np.zeros((n, 2)), np.zeros(n + 1)
+    v[0] = b
+    S[0] = np.linalg.norm(v[0])
+    v[0] *= 1 / S[0]
+    for col in range(n):
+        w = matvec(v[col])
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):  # modified Gram-Schmidt
+            h[col, k] = np.dot(v[k], w)
+            w -= h[col, k] * v[k]
+        h1 = np.linalg.norm(w)
+        v[col + 1] = w
+        if h1 <= np.finfo(float).eps * h0:  # breakdown: the solution is in the Krylov space,
+            h1 = 0.0  # so this column's rotation has s = 0 and the residual test ends the cycle
+        else:
+            v[col + 1] *= 1 / h1
+        for k in range(col):  # the earlier rotations, then this column's own
+            c, s = givens[k]
+            n0, n1 = h[col, k], h[col, k + 1]
+            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+        c, s, h[col, col] = dlartg(h[col, col], h1)
+        givens[col] = c, s  # the subdiagonal entry, rotated to 0, is not stored
+        S[col], S[col + 1] = c * S[col], -s * S[col]
+        if abs(S[col + 1]) <= ptol:
+            break
+    if h[col, col] == 0:
+        S[col] = 0
+    y = S[: col + 1].copy()
+    for k in range(col, 0, -1):  # back substitution, skipping zero entries as scipy does
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    return y @ v[: col + 1]
 
 
 def _integrate(params: ModelParams, u: float, v: float, t) -> np.ndarray:
@@ -220,13 +273,15 @@ def ode_periodic_orbit(
 
 def _imex_period(params: ModelParams, w: np.ndarray, length: float, steps: int, sample_every=0):
     """Frozen-interval period map on the (2, n+1) densities: reset, then IMEX over
-    (0, tau]; ``w`` itself is left as it is.  Optionally samples (t, w) from 0+."""
+    (0, tau] with one factored matrix; ``w`` itself is left as it is.  Optionally
+    samples (t, w) from 0+."""
     w = w.copy()
     w[0] = params.impulse(w[0])
-    dt, dxi = params.tau / steps, 1.0 / (w.shape[1] - 1)
+    dt = params.tau / steps
+    step = frozen_step(params, dt, length, w.shape[1] - 1)
     samples = [(0.0, w)] if sample_every else None
     for i in range(steps):
-        w = imex_density_step(w, params, dt, dxi, length)
+        w = step(w)
         if samples is not None and (i + 1) % sample_every == 0:
             samples.append(((i + 1) * dt, w))
     return w, samples

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs, dptsv
 
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import InitialData, ModelParams, density_bounds
 
 __all__ = [
     "SolverConfig", "Snapshot", "TimeSeries", "Trajectory",
-    "transform_step", "apply_impulse", "run", "imex_density_step",
+    "transform_step", "apply_impulse", "run", "imex_density_step", "frozen_step",
 ]
 
 # Undershoot within this fraction of a species' sup-norm is rounding next to
@@ -111,44 +111,64 @@ def _front_velocities(
 
 def imex_density_step(
     w: np.ndarray, params: ModelParams, dt: float, dxi: float, width_new: float,
-    vel_g: float = 0.0, vel_h: float = 0.0,
+    vel_g: float = 0.0, vel_h: float = 0.0, terms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """One IMEX update of the (2, n+1) densities; also the frozen-front core.
+    """One IMEX update of the (2, n+1) densities: the explicit ``terms`` of the start
+    state w (formed here unless a caller passes them), then the stage solve.
 
     ``vel_g``/``vel_h`` are the discrete mesh velocities over the step; pass
     zeros for a fixed interval.  Both species are solved in one dptsv call on
     the block-diagonal system: the zero coupling entry between the blocks
     leaves the next pivot untouched and subtracts only products with zero, so
     the result equals two separate solves (up to the sign of a zero).
-    Undershoot within ``CLIP_TOL`` times the species sup-norm is clipped to
-    zero; larger undershoot or a non-finite value aborts.
     """
     n = w.shape[1] - 1
+    diff, react = terms or (w[:, 2:] - w[:, :-2], _reactions(w, params, dt))
     adv = (dt / (2.0 * dxi * width_new)) * (vel_g + _interior_xi(n, dxi) * (vel_h - vel_g))
-    diffusion = dt / (width_new * width_new * dxi * dxi)
-    u, v = w[0, 1:-1], w[1, 1:-1]
-    rhs = w[:, 1:-1] + adv * (w[:, 2:] - w[:, :-2])
-    rhs[0] += (dt * params.a12) * v - (dt * params.a11) * u
-    rhs[1] += dt * (params.growth(u) - params.a22 * v)
+    rhs = w[:, 1:-1] + adv * diff
+    rhs += react
+    diag, off, r_u, r_v = _stage_matrix(params, dt, dxi, width_new, n - 1)
+    _, _, interior, info = dptsv(diag, off, rhs.ravel(), overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info != 0:
+        name, r = ("u", r_u) if info <= n - 1 else ("v", r_v)
+        raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
+    return _guarded(w, interior)
 
+
+def frozen_step(params: ModelParams, dt: float, width: float, n: int):
+    """``imex_density_step(w, params, dt, 1/n, width)`` as a function of w alone, bit
+    for bit: the matrix is factored once (dpttrf), and each call solves with
+    dpttrs and skips the advection term, whose velocities are 0."""
+    diag, off, _, _ = _stage_matrix(params, dt, 1.0 / n, width, n - 1)
+    diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
+    if info != 0:
+        raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
+    return lambda w: _guarded(w, dpttrs(
+        diag, off, (w[:, 1:-1] + _reactions(w, params, dt)).ravel(), overwrite_b=1)[0])
+
+
+def _reactions(w: np.ndarray, params: ModelParams, dt: float) -> np.ndarray:
+    u, v = w[0, 1:-1], w[1, 1:-1]
+    return np.array([(dt * params.a12) * v - (dt * params.a11) * u,
+                     dt * (params.growth(u) - params.a22 * v)])
+
+
+def _stage_matrix(params: ModelParams, dt: float, dxi: float, width: float, m: int):
+    """Diagonal, off-diagonal, r_u and r_v of the block SPD matrix on m interior nodes."""
+    diffusion = dt / (width * width * dxi * dxi)
     r_u, r_v = diffusion * params.d1, diffusion * params.d2
-    m = n - 1
-    diag, off = np.empty(2 * m), np.empty(2 * m - 1)  # dptsv overwrites both
+    diag, off = np.empty(2 * m), np.empty(2 * m - 1)  # LAPACK overwrites both
     diag[:m], diag[m:] = 1.0 + 2.0 * r_u, 1.0 + 2.0 * r_v
     off[: m - 1], off[m - 1], off[m:] = -r_u, 0.0, -r_v
-    _, _, interior, info = dptsv(
-        diag, off, rhs.ravel(), overwrite_d=1, overwrite_e=1, overwrite_b=1
-    )
-    if info != 0:
-        name, r = ("u", r_u) if info <= m else ("v", r_v)
-        raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
-    out = np.zeros_like(w)
-    out[:, 1:-1] = interior.reshape(2, m)
+    return diag, off, r_u, r_v
 
-    for row, name in enumerate("uv"):
-        w_new = out[row]
-        low = w_new.min()
-        if not (math.isfinite(low) and math.isfinite(w_new.max())):
+
+def _guarded(w: np.ndarray, interior: np.ndarray) -> np.ndarray:
+    """A stage's densities from its solved ``interior``, after the finite and undershoot guards."""
+    out = np.zeros_like(w)
+    out[:, 1:-1] = interior.reshape(2, -1)
+    for row, (name, low, high) in enumerate(zip("uv", out.min(axis=1), out.max(axis=1))):
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise NumericalError(f"{name} is no longer finite; scheme failure")
         if low < 0.0:
             scale = w[row].max()
@@ -157,7 +177,7 @@ def imex_density_step(
                     f"{name} undershoot {low:.3e} exceeds the clip tolerance "
                     f"({CLIP_TOL:.1e} * sup = {CLIP_TOL * scale:.3e}); scheme failure"
                 )
-            np.maximum(w_new, 0.0, out=w_new)
+            np.maximum(out[row], 0.0, out=out[row])
     return out
 
 
@@ -191,7 +211,8 @@ def transform_step(
     _stability_guard(params, cfg, dt, max(-vg0, vh0), h - g)
 
     g1, h1 = g + dt * vg0, h + dt * vh0
-    wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0)
+    terms = w[:, 2:] - w[:, :-2], _reactions(w, params, dt)  # both stages start from w
+    wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, terms)
     vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
     g1 = g + 0.5 * dt * (vg0 + vg1)
     h1 = h + 0.5 * dt * (vh0 + vh1)
@@ -199,7 +220,7 @@ def transform_step(
     vg = (g1 - g) / dt
     vh = (h1 - h) / dt
     _stability_guard(params, cfg, dt, max(-vg, vh), h1 - g1)
-    return g1, h1, imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh)
+    return g1, h1, imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh, terms)
 
 
 def apply_impulse(w: np.ndarray, params: ModelParams) -> None:

@@ -20,9 +20,10 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_loads_no_optimize_or_integrate():
-    # both cost a few hundred ms of startup; only the ODE orbit defers to
-    # scipy.integrate, and nothing needs scipy.optimize
-    code = "import sys, pulsefront.cli; print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))"
+    # each costs tens to hundreds of ms of startup; only the ODE orbit defers
+    # to scipy.integrate, and nothing needs scipy.optimize or scipy.sparse
+    heavy = "{'scipy.optimize', 'scipy.integrate', 'scipy.sparse'}"
+    code = f"import sys, pulsefront.cli; print(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(pulsefront.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"

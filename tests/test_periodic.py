@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from scipy.linalg import expm
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from pulsefront import periodic
 from pulsefront.eigen import lambda_infinity
@@ -22,6 +23,8 @@ from pulsefront.periodic import (
     ode_period_map,
     ode_periodic_orbit,
 )
+from pulsefront.presets import base_params_cd
+from pulsefront.solver import imex_density_step
 
 U_STAR, V_STAR = 20.0 / 3.0, 4.0  # nullcline fixed point of the benchmark set
 
@@ -242,3 +245,119 @@ def test_periods_count_every_ode_map_evaluation(params_benchmark, monkeypatch):
 def test_max_periods_caps_map_evaluations(params_benchmark):
     with pytest.raises(NumericalError, match="did not converge in 5 periods"):
         fixed_domain_periodic(params_benchmark, 30.0, n=32, max_periods=5, steps_per_period=50)
+
+
+def _period_by_imex_steps(p, w, length, steps):
+    """The frozen-interval period map as a loop of moving-front IMEX steps with zero velocities."""
+    w = w.copy()
+    w[0] = p.impulse(w[0])
+    for _ in range(steps):
+        w = imex_density_step(w, p, p.tau / steps, 1.0 / (w.shape[1] - 1), length)
+    return w
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", ["beverton-holt/identity", "linear/linear (zero)"])
+def test_factored_period_map_equals_imex_steps(params_benchmark, case):
+    # the frozen map factors its matrix once and drops the zero advection
+    # term; the moving-front kernel with zero velocities must give the same bits
+    changes, length = PDE_CASES[case]
+    p = params_benchmark.with_(**changes)
+    n, steps = 32, 100
+    c2, c3 = density_bounds(p)
+    w = np.zeros((2, n + 1))
+    w[0, 1:-1], w[1, 1:-1] = c2, c3
+    for _ in range(3):  # the supersolution start and two images along the search
+        image, _ = _imex_period(p, w, length, steps)
+        assert np.array_equal(_bits(image), _bits(_period_by_imex_steps(p, w, length, steps)))
+        w = image
+
+
+def test_factored_period_map_equals_imex_steps_through_a_clip(params_benchmark):
+    # dt * a11 just above 1 and v = 0: the first stage leaves u a roundoff-size
+    # negative multiple of itself, which the undershoot guard clips to zero
+    n, steps, length = 32, 100, 30.0
+    p = params_benchmark.with_(a11=(1.0 + 1e-13) * steps / params_benchmark.tau)
+    xi = np.linspace(0.0, 1.0, n + 1)
+    w = np.array([np.sin(np.pi * xi), np.zeros(n + 1)])
+    first = imex_density_step(w, p, p.tau / steps, 1.0 / n, length)
+    assert np.all(first[0] == 0.0) and first[1].max() > 0.0
+    image, _ = _imex_period(p, w, length, steps)
+    assert np.array_equal(_bits(image), _bits(_period_by_imex_steps(p, w, length, steps)))
+
+
+def test_factored_period_map_nonfinite_is_numerical_error():
+    # r overflows on an interval of 2e-153: the factored matrix holds NaN, and
+    # the finite guard of the factored path reports it instead of a traceback
+    with pytest.raises(NumericalError, match="no longer finite"):
+        fixed_domain_periodic(base_params_cd(1.3), 2e-153, 64, steps_per_period=10)
+
+
+def _counted(matvec):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return matvec(x)
+
+    return counted, calls
+
+
+def _assert_gmres_matches_scipy(matvec, b, rtol, atol):
+    """periodic._gmres against scipy's single-cycle GMRES; returns our matvec count."""
+    ours, our_calls = _counted(matvec)
+    theirs, their_calls = _counted(matvec)
+    x = periodic._gmres(ours, b, rtol, atol)
+    A = LinearOperator((b.size, b.size), matvec=theirs, dtype=float)
+    expected, _ = gmres(A, b, rtol=rtol, atol=atol, restart=b.size, maxiter=1)
+    assert np.array_equal(_bits(x), _bits(expected))  # the sign of zero included
+    # scipy's one extra product is the closing b - A x of its info flag
+    assert len(their_calls) == len(our_calls) + (len(our_calls) > 0)
+    return len(our_calls)
+
+
+@pytest.mark.parametrize("n, rtol", [(5, 1e-14), (20, 1e-14), (40, 1e-5), (40, 1e-2)])
+def test_gmres_matches_scipy_on_random_systems(n, rtol):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        A = np.eye(n) + rng.normal(0.0, 1.0 / np.sqrt(n), (n, n))
+        b = rng.normal(size=n)
+        calls = _assert_gmres_matches_scipy(lambda x: A @ x, b, rtol, 0.0)
+        assert calls == n if rtol == 1e-14 else calls < n  # the looser tolerances exit early
+
+
+def test_gmres_matches_scipy_on_breakdown_and_trivial_cases():
+    rng = np.random.default_rng(3)
+    n = 12
+    # identity plus rank one: the Krylov space holds the solution after two
+    # directions; with zero tolerances only the breakdown exit ends the cycle
+    a, c = rng.normal(size=n), rng.normal(size=n)
+    b = rng.normal(size=n)
+    assert _assert_gmres_matches_scipy(lambda x: x + a * (c @ x), b, 0.0, 0.0) == 2
+    # b = 0, and |b| below atol: both return 0 without a product
+    assert _assert_gmres_matches_scipy(lambda x: 2.0 * x, np.zeros(n), 1e-5, 0.0) == 0
+    assert _assert_gmres_matches_scipy(lambda x: 2.0 * x, b, 1e-5, 2.0 * np.linalg.norm(b)) == 0
+
+
+@pytest.mark.parametrize("kind", ["fixed-domain", "ode"])
+def test_gmres_matches_scipy_on_defect_operators(params_benchmark, monkeypatch, kind):
+    # the Newton systems of an actual search, solved again by scipy's GMRES
+    systems = []
+    real = periodic._gmres
+
+    def recording(matvec, b, rtol, atol):
+        systems.append((matvec, b.copy(), rtol, atol))
+        return real(matvec, b, rtol, atol)
+
+    monkeypatch.setattr(periodic, "_gmres", recording)
+    p = params_benchmark.with_(impulse=SaturatingImpulse(c=19.0, b=20.0))
+    if kind == "ode":
+        ode_periodic_orbit(p)
+    else:
+        fixed_domain_periodic(p, 40.0, n=32, tol=1e-10, steps_per_period=100)
+    assert systems
+    for matvec, b, rtol, atol in systems[:2]:
+        assert _assert_gmres_matches_scipy(matvec, b, rtol, atol) >= 1

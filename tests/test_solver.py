@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pulsefront import solver
 from pulsefront.errors import ConfigurationError, NumericalError
 from pulsefront.model import InitialData
+from pulsefront.presets import preset
 from pulsefront.solver import (
     SolverConfig,
     Trajectory,
@@ -289,8 +291,6 @@ def test_run_rejects_nan_initial_data(params_benchmark, init_cos):
 def test_stability_guard_checks_corrected_speeds(params_benchmark, init_cos, monkeypatch):
     # the predictor speeds pass dt * vmax^2 <= 2 * min(d) = 0.2; only the
     # Heun-corrected speed 0.5 * (0.1 + 20) that the density update uses fails
-    import pulsefront.solver as solver
-
     speeds = iter([(-0.1, 0.1), (-0.1, 20.0)])
     monkeypatch.setattr(solver, "_front_velocities", lambda *args: next(speeds))
     x0 = -2.0 + SolverConfig(n=128).xi * 4.0
@@ -308,3 +308,33 @@ def test_indefinite_diffusion_system_aborts(params_benchmark):
     u = np.sin(np.pi * xi)
     with pytest.raises(NumericalError, match="dptsv info="):
         imex_density_step(np.array([u, u]), params_benchmark, -1.0, 1.0 / 32, 4.0)
+
+
+def _heun_step_own_terms(g, h, w, params, cfg, dt):
+    """transform_step with each IMEX stage forming its own start-state terms."""
+    vg0, vh0 = solver._front_velocities(w, h - g, cfg.dxi, params.mu1, params.mu2)
+    g1, h1 = g + dt * vg0, h + dt * vh0
+    wp = imex_density_step(w, params, dt, cfg.dxi, h1 - g1, vg0, vh0)
+    vg1, vh1 = solver._front_velocities(wp, h1 - g1, cfg.dxi, params.mu1, params.mu2)
+    g1, h1 = g + 0.5 * dt * (vg0 + vg1), h + 0.5 * dt * (vh0 + vh1)
+    return g1, h1, imex_density_step(w, params, dt, cfg.dxi, h1 - g1, (g1 - g) / dt, (h1 - h) / dt)
+
+
+@pytest.mark.parametrize("figure", ["fig-a", "fig-b", "fig-c", "fig-d"])
+def test_heun_stages_sharing_start_terms_are_bit_identical(figure):
+    # both stages start from w, so transform_step forms its explicit terms once
+    params = preset(figure).config.model
+    cfg = SolverConfig(n=128, steps_per_period=500)
+    traj = Trajectory(params, InitialData.cos_quarter(params.h0, 0.3, 0.1), cfg, 5.0)
+    for k in (300, 301, 302):
+        traj.advance(k)
+        shared = transform_step(traj.g, traj.h, traj.w, params, cfg, traj.dt)
+        own = _heun_step_own_terms(traj.g, traj.h, traj.w, params, cfg, traj.dt)
+        assert shared[:2] == own[:2]
+        assert np.array_equal(shared[2].view(np.uint64), own[2].view(np.uint64))
+
+
+def test_frozen_step_reports_an_indefinite_matrix(params_benchmark):
+    # dt < 0 makes the frozen matrix indefinite; its one factorization says so
+    with pytest.raises(NumericalError, match="dpttrf info="):
+        solver.frozen_step(params_benchmark, -1.0, 4.0, 32)
