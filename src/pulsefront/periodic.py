@@ -8,8 +8,9 @@ uniform supersolution constants:
   integrated by LSODA (``scipy.integrate.odeint``, imported on first use),
   where a failed or non-finite integration raises NumericalError, and
 * the fixed-interval Dirichlet problem, advanced by the moving-front IMEX
-  step with frozen fronts (``solver.frozen_step``: its matrix is the same
-  for the whole period, so it is factored once per map).
+  step with frozen fronts (``solver.frozen_step``, factored once per map)
+  on the interior vector between two reused buffers: the Dirichlet zeros
+  are padded back only at samples and at the end.
 
 Both go through one solver, ``_fixed_point``: a few monotone Picard sweeps
 w <- P(w) from above, then Newton steps on F(w) = P(w) - w whose linear
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -42,7 +44,7 @@ from scipy.linalg.lapack import dlartg
 from .eigen import principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
 from .model import ModelParams, density_bounds
-from .solver import frozen_step
+from .solver import _padded, frozen_step
 
 __all__ = ["PeriodicOrbit", "ode_periodic_orbit", "fixed_domain_periodic", "ode_period_map"]
 
@@ -90,11 +92,20 @@ class PeriodicOrbit:
     start_pre_reset: np.ndarray | None = None
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """``value`` must be an integer (NumPy's too, by ``operator.index``) of at least ``least``."""
+    try:
+        if operator.index(value) >= least:
+            return
+    except TypeError:
+        pass
+    raise PreconditionError(f"need an integer {name} >= {least}, got {value!r}")
+
+
 def _check_search(tol: float, max_periods: int) -> None:
     if not (math.isfinite(tol) and tol > 0):
         raise PreconditionError(f"tol must be finite and positive, got {tol}")
-    if max_periods < 1:
-        raise PreconditionError(f"need max_periods >= 1, got {max_periods}")
+    _check_count("max_periods", max_periods, 1)
 
 
 def _fixed_point(period_map, w: np.ndarray, tol: float, max_periods: int, what: str):
@@ -272,19 +283,19 @@ def ode_periodic_orbit(
 
 
 def _imex_period(params: ModelParams, w: np.ndarray, length: float, steps: int, sample_every=0):
-    """Frozen-interval period map on the (2, n+1) densities: reset, then IMEX over
-    (0, tau] with one factored matrix; ``w`` itself is left as it is.  Optionally
-    samples (t, w) from 0+."""
-    w = w.copy()
-    w[0] = params.impulse(w[0])
+    """Frozen-interval period map on the (2, n+1) densities: reset, then IMEX over (0, tau]
+    on the interior vector with one factored matrix and two reused buffers; ``w`` itself is
+    left as it is.  Optionally samples (t, w) every ``sample_every`` steps from 0+."""
     dt = params.tau / steps
     step = frozen_step(params, dt, length, w.shape[1] - 1)
-    samples = [(0.0, w)] if sample_every else None
-    for i in range(steps):
-        w = step(w)
-        if samples is not None and (i + 1) % sample_every == 0:
-            samples.append(((i + 1) * dt, w))
-    return w, samples
+    z = np.concatenate((params.impulse(w[0, 1:-1]), w[1, 1:-1]))
+    buffers = np.empty_like(z), np.empty_like(z)
+    samples = [(0.0, _padded(z))] if sample_every else None
+    for i in range(1, steps + 1):
+        z = step(z, buffers[i % 2])  # reads one buffer, writes the other
+        if samples is not None and i % sample_every == 0:
+            samples.append((i * dt, _padded(z)))
+    return _padded(z), samples
 
 
 def fixed_domain_periodic(
@@ -303,19 +314,15 @@ def fixed_domain_periodic(
     cross-checked against the sign of the principal eigenvalue for the same
     interval; a mismatch is an internal consistency failure, not a result.
     """
-    if n < 16:
-        raise PreconditionError(f"need n >= 16, got {n}")
+    _check_count("n", n, 16)
     if not (math.isfinite(interval_length) and interval_length > 0):
         raise PreconditionError("interval length must be finite and positive")
-    if steps_per_period < 1:
-        raise PreconditionError(f"need steps_per_period >= 1, got {steps_per_period}")
+    _check_count("steps_per_period", steps_per_period, 1)
     _check_search(tol, max_periods)
     lam = principal_eigenvalue_monodromy(params, interval_length).lam
     c2, c3 = density_bounds(params)
 
-    w0 = np.empty((2, n + 1))
-    w0[0], w0[1] = c2, c3
-    w0[:, [0, n]] = 0.0
+    w0 = _padded(np.repeat([c2, c3], n - 1))
 
     def period_map(w: np.ndarray) -> np.ndarray:  # the flat Newton vector: u, then v
         image, _ = _imex_period(params, w.reshape(2, n + 1), interval_length, steps_per_period)
@@ -331,23 +338,18 @@ def fixed_domain_periodic(
             f"on length {interval_length}"
         )
 
-    x = np.linspace(-interval_length / 2.0, interval_length / 2.0, n + 1)
     start = state.reshape(2, n + 1)
-    if not is_positive:
+    if is_positive:  # sample the converged orbit over one period
+        _, path = _imex_period(
+            params, start, interval_length, steps_per_period, max(1, steps_per_period // 8)
+        )
+        ts, ws = zip(*path)
+        t, (U, V) = np.array(ts), np.stack(ws, axis=1)
+    else:
         t = np.linspace(0.0, params.tau, 9)
         U, V = np.zeros((2, t.size, n + 1))
-        return PeriodicOrbit(
-            t=t, U=U, V=V, residual=residual, is_positive=False,
-            periods=periods, x=x, start_pre_reset=start,
-        )
-
-    # sample the converged orbit over one period
-    _, path = _imex_period(
-        params, start, interval_length, steps_per_period, max(1, steps_per_period // 8)
-    )
-    ts, ws = zip(*path)
-    U, V = np.stack(ws, axis=1)
+    x = np.linspace(-interval_length / 2.0, interval_length / 2.0, n + 1)
     return PeriodicOrbit(
-        t=np.array(ts), U=U, V=V, residual=residual,
-        is_positive=True, periods=periods, x=x, start_pre_reset=start,
+        t=t, U=U, V=V, residual=residual, is_positive=is_positive,
+        periods=periods, x=x, start_pre_reset=start,
     )

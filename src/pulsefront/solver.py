@@ -123,7 +123,7 @@ def imex_density_step(
     the result equals two separate solves (up to the sign of a zero).
     """
     n = w.shape[1] - 1
-    diff, react = terms or (w[:, 2:] - w[:, :-2], _reactions(w, params, dt))
+    diff, react = terms or (w[:, 2:] - w[:, :-2], _reactions(w[:, 1:-1], params, dt))
     adv = (dt / (2.0 * dxi * width_new)) * (vel_g + _interior_xi(n, dxi) * (vel_h - vel_g))
     rhs = w[:, 1:-1] + adv * diff
     rhs += react
@@ -132,25 +132,34 @@ def imex_density_step(
     if info != 0:
         name, r = ("u", r_u) if info <= n - 1 else ("v", r_v)
         raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
-    return _guarded(w, interior)
+    return _padded(_guarded(w, interior))
 
 
 def frozen_step(params: ModelParams, dt: float, width: float, n: int):
-    """``imex_density_step(w, params, dt, 1/n, width)`` as a function of w alone, bit
-    for bit: the matrix is factored once (dpttrf), and each call solves with
-    dpttrs and skips the advection term, whose velocities are 0."""
+    """``imex_density_step(w, params, dt, 1/n, width)`` on the interior vector z of w (u then v),
+    bit for bit: the matrix is factored once (dpttrf), and ``step(z, out)`` skips the advection
+    term, whose velocities are 0, and solves z + dt * reactions in the buffer ``out`` (dpttrs)."""
     diag, off, _, _ = _stage_matrix(params, dt, 1.0 / n, width, n - 1)
     diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
-    return lambda w: _guarded(w, dpttrs(
-        diag, off, (w[:, 1:-1] + _reactions(w, params, dt)).ravel(), overwrite_b=1)[0])
+
+    def step(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rows = z.reshape(2, -1)
+        _reactions(rows, params, dt, out.reshape(2, -1))
+        out += z  # addition commutes: the bits of z + reactions
+        return _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0])
+
+    return step
 
 
-def _reactions(w: np.ndarray, params: ModelParams, dt: float) -> np.ndarray:
-    u, v = w[0, 1:-1], w[1, 1:-1]
-    return np.array([(dt * params.a12) * v - (dt * params.a11) * u,
-                     dt * (params.growth(u) - params.a22 * v)])
+def _reactions(x: np.ndarray, params: ModelParams, dt: float, out: np.ndarray | None = None):
+    """The dt-scaled reactions of the interior rows x = (u, v), written to ``out`` (new if None)."""
+    u, v = x[0], x[1]
+    out = np.empty(x.shape) if out is None else out
+    np.subtract((dt * params.a12) * v, (dt * params.a11) * u, out[0])
+    np.multiply(dt, params.growth(u) - params.a22 * v, out[1])
+    return out
 
 
 def _stage_matrix(params: ModelParams, dt: float, dxi: float, width: float, m: int):
@@ -164,10 +173,12 @@ def _stage_matrix(params: ModelParams, dt: float, dxi: float, width: float, m: i
 
 
 def _guarded(w: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """A stage's densities from its solved ``interior``, after the finite and undershoot guards."""
-    out = np.zeros_like(w)
-    out[:, 1:-1] = interior.reshape(2, -1)
-    for row, (name, low, high) in enumerate(zip("uv", out.min(axis=1), out.max(axis=1))):
+    """``interior`` (u then v) after the finite and undershoot guards against the rows ``w`` of its
+    start state, clipped in place; most pass on one whole-vector min and max (NaN fails both)."""
+    if np.minimum.reduce(interior) >= 0.0 and math.isfinite(np.maximum.reduce(interior)):
+        return interior
+    rows = interior.reshape(2, -1)
+    for row, (name, low, high) in enumerate(zip("uv", rows.min(axis=1), rows.max(axis=1))):
         if not (math.isfinite(low) and math.isfinite(high)):
             raise NumericalError(f"{name} is no longer finite; scheme failure")
         if low < 0.0:
@@ -177,7 +188,14 @@ def _guarded(w: np.ndarray, interior: np.ndarray) -> np.ndarray:
                     f"{name} undershoot {low:.3e} exceeds the clip tolerance "
                     f"({CLIP_TOL:.1e} * sup = {CLIP_TOL * scale:.3e}); scheme failure"
                 )
-            np.maximum(out[row], 0.0, out=out[row])
+            np.maximum(rows[row], 0.0, out=rows[row])
+    return interior
+
+
+def _padded(interior: np.ndarray) -> np.ndarray:
+    """The (2, n+1) densities of an ``interior`` (u then v), with Dirichlet zeros at the ends."""
+    out = np.zeros((2, interior.size // 2 + 2))
+    out[:, 1:-1] = interior.reshape(2, -1)
     return out
 
 
@@ -211,7 +229,7 @@ def transform_step(
     _stability_guard(params, cfg, dt, max(-vg0, vh0), h - g)
 
     g1, h1 = g + dt * vg0, h + dt * vh0
-    terms = w[:, 2:] - w[:, :-2], _reactions(w, params, dt)  # both stages start from w
+    terms = w[:, 2:] - w[:, :-2], _reactions(w[:, 1:-1], params, dt)  # both stages start from w
     wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, terms)
     vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
     g1 = g + 0.5 * dt * (vg0 + vg1)
@@ -295,8 +313,7 @@ class Trajectory:
         rec[0, i] = i * dt
         rec[1, i] = self.g
         rec[2, i] = self.h
-        rec[3, i] = w[0].max()
-        rec[4, i] = w[1].max()
+        rec[3:, i] = np.maximum.reduce(w, axis=1)  # sup_u, sup_v
         while self._pending and i * dt >= self._pending[0] - 0.5 * dt:
             self._pending.pop(0)
             x = self.g + self._xi * (self.h - self.g)

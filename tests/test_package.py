@@ -19,11 +19,20 @@ def test_every_exported_name_resolves():
         assert not missing, f"pulsefront.{info.name}.__all__ names undefined {missing}"
 
 
-def test_cli_import_loads_no_optimize_or_integrate():
+def _heavy_modules_loaded(module: str) -> str:
     # each costs tens to hundreds of ms of startup; only the ODE orbit defers
     # to scipy.integrate, and nothing needs scipy.optimize or scipy.sparse
     heavy = "{'scipy.optimize', 'scipy.integrate', 'scipy.sparse'}"
-    code = f"import sys, pulsefront.cli; print(sorted({heavy} & set(sys.modules)))"
+    code = f"import sys, {module}; print(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(pulsefront.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_optimize_or_integrate():
+    assert _heavy_modules_loaded("pulsefront.cli") == "[]"
+
+
+def test_package_import_loads_no_optimize_integrate_or_sparse():
+    # the package imports periodic, whose frozen-interval kernel lives in solver
+    assert _heavy_modules_loaded("pulsefront") == "[]"

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -245,6 +246,23 @@ def test_periods_count_every_ode_map_evaluation(params_benchmark, monkeypatch):
 def test_max_periods_caps_map_evaluations(params_benchmark):
     with pytest.raises(NumericalError, match="did not converge in 5 periods"):
         fixed_domain_periodic(params_benchmark, 30.0, n=32, max_periods=5, steps_per_period=50)
+    # NumPy integers count as integers
+    with pytest.raises(NumericalError, match="did not converge in 5 periods"):
+        fixed_domain_periodic(params_benchmark, 30.0, n=np.int64(32), max_periods=np.int32(5),
+                              steps_per_period=np.int64(50))
+
+
+@pytest.mark.parametrize("bad", [dict(n=32.0), dict(steps_per_period=50.5), dict(max_periods=5.5),
+                                 dict(n="32"), dict(steps_per_period=np.float64(50.0))])
+def test_non_integral_counts_rejected(params_benchmark, bad):
+    kwargs = {**dict(n=32, max_periods=5, steps_per_period=50), **bad}
+    with pytest.raises(PreconditionError, match=f"need an integer {next(iter(bad))} >= "):
+        fixed_domain_periodic(params_benchmark, 30.0, **kwargs)
+
+
+def test_ode_orbit_rejects_non_integral_max_periods(params_benchmark):
+    with pytest.raises(PreconditionError, match="need an integer max_periods >= 1, got 5.5"):
+        ode_periodic_orbit(params_benchmark, max_periods=5.5)
 
 
 def _period_by_imex_steps(p, w, length, steps):
@@ -278,15 +296,63 @@ def test_factored_period_map_equals_imex_steps(params_benchmark, case):
 
 def test_factored_period_map_equals_imex_steps_through_a_clip(params_benchmark):
     # dt * a11 just above 1 and v = 0: the first stage leaves u a roundoff-size
-    # negative multiple of itself, which the undershoot guard clips to zero
+    # negative multiple of itself, which the undershoot guard clips to zero;
+    # v is zeroed again before each of 3 chained maps, so each map clips
     n, steps, length = 32, 100, 30.0
     p = params_benchmark.with_(a11=(1.0 + 1e-13) * steps / params_benchmark.tau)
     xi = np.linspace(0.0, 1.0, n + 1)
     w = np.array([np.sin(np.pi * xi), np.zeros(n + 1)])
     first = imex_density_step(w, p, p.tau / steps, 1.0 / n, length)
     assert np.all(first[0] == 0.0) and first[1].max() > 0.0
-    image, _ = _imex_period(p, w, length, steps)
-    assert np.array_equal(_bits(image), _bits(_period_by_imex_steps(p, w, length, steps)))
+    for _ in range(3):
+        assert w[0].max() > 0.0 and not w[1].any()
+        image, _ = _imex_period(p, w, length, steps)
+        assert np.array_equal(_bits(image), _bits(_period_by_imex_steps(p, w, length, steps)))
+        w = image.copy()
+        w[1] = 0.0
+
+
+def _supersolution_start(p, n):
+    c2, c3 = density_bounds(p)
+    w = np.zeros((2, n + 1))
+    w[0, 1:-1], w[1, 1:-1] = c2, c3
+    return w
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7])
+def test_factored_period_map_alternates_its_buffers(params_disinfected, steps):
+    # the map's steps read one buffer and write the other: an odd and an even
+    # step count, and a single step, all equal the moving-front kernel's bits
+    p = params_disinfected
+    w = _supersolution_start(p, 32)
+    before = w.copy()
+    first, _ = _imex_period(p, w, 30.0, steps)
+    assert np.array_equal(_bits(w), _bits(before))  # the input is left as it is
+    assert np.array_equal(_bits(first), _bits(_period_by_imex_steps(p, w, 30.0, steps)))
+    second, _ = _imex_period(p, w, 30.0, steps)
+    assert np.array_equal(_bits(first), _bits(second)) and not np.shares_memory(first, second)
+
+
+def test_factored_period_map_samples_its_steps(params_disinfected):
+    # samples every 3 of 10 steps from the post-reset state: each one is the
+    # state the step loop reaches there, and the image is the unsampled one
+    p, n, steps, length = params_disinfected, 32, 10, 30.0
+    w = _supersolution_start(p, n)
+    image, samples = _imex_period(p, w, length, steps, sample_every=3)
+    dt = p.tau / steps
+    state = w.copy()
+    state[0] = p.impulse(state[0])
+    expected = [(0.0, state)]
+    for i in range(1, steps + 1):
+        state = imex_density_step(state, p, dt, 1.0 / n, length)
+        if i % 3 == 0:
+            expected.append((i * dt, state))
+    assert [t for t, _ in samples] == [t for t, _ in expected] == [0.0, 3 * dt, 6 * dt, 9 * dt]
+    for (_, got), (_, want) in zip(samples, expected):
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(image), _bits(state))
+    assert np.array_equal(_bits(image), _bits(_imex_period(p, w, length, steps)[0]))
+    assert not any(np.shares_memory(a, b) for (_, a), (_, b) in itertools.combinations(samples, 2))
 
 
 def test_factored_period_map_nonfinite_is_numerical_error():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsefront import solver
 from pulsefront.errors import ConfigurationError, NumericalError
@@ -338,3 +340,78 @@ def test_frozen_step_reports_an_indefinite_matrix(params_benchmark):
     # dt < 0 makes the frozen matrix indefinite; its one factorization says so
     with pytest.raises(NumericalError, match="dpttrf info="):
         solver.frozen_step(params_benchmark, -1.0, 4.0, 32)
+
+
+def _guarded_by_rows(w, interior):
+    """The row-wise guards as the solver had them before the whole-vector test:
+    the (2, n+1) densities of a solved interior, clipped or rejected per row."""
+    out = np.zeros_like(w)
+    out[:, 1:-1] = interior.reshape(2, -1)
+    for row, (name, low, high) in enumerate(zip("uv", out.min(axis=1), out.max(axis=1))):
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise NumericalError(f"{name} is no longer finite; scheme failure")
+        if low < 0.0:
+            scale = w[row].max()
+            if low < -solver.CLIP_TOL * scale:
+                raise NumericalError(
+                    f"{name} undershoot {low:.3e} exceeds the clip tolerance "
+                    f"({solver.CLIP_TOL:.1e} * sup = {solver.CLIP_TOL * scale:.3e}); scheme failure"
+                )
+            np.maximum(out[row], 0.0, out=out[row])
+    return out
+
+
+# an interior entry: a signed zero, the least negative float, a density, or
+# k * CLIP_TOL * sup of its start row for k in [-3, 3], i.e. an undershoot
+# inside or beyond the tolerance; then maybe one entry made NaN or infinite
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, -5e-324]).map(lambda x: (x, 0.0)),
+    st.floats(0.0, 1e3).map(lambda x: (x, 0.0)),
+    st.floats(-3.0, 3.0).map(lambda k: (0.0, k)),
+)
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(0.0, 1e3) | st.just(-0.0), min_size=2 * (n + 1), max_size=2 * (n + 1)),
+    st.lists(_ENTRY, min_size=2 * (n - 1), max_size=2 * (n - 1)),
+    st.none() | st.tuples(st.integers(0, 2 * n - 3), st.sampled_from([np.nan, np.inf, -np.inf])))))
+@settings(max_examples=300, deadline=None)
+def test_guard_fast_path_matches_row_checks(drawn):
+    # one whole-vector min and max decide whether the row checks run at all;
+    # the result, the in-place clip and the error message must be the rows' own
+    start, entries, nonfinite = drawn
+    w = np.array(start).reshape(2, -1)
+    sup = np.repeat(w.max(axis=1), w.shape[1] - 2)
+    interior = np.array([x + k * solver.CLIP_TOL * s for (x, k), s in zip(entries, sup)])
+    if nonfinite is not None:
+        interior[nonfinite[0]] = nonfinite[1]
+    try:
+        expected = _guarded_by_rows(w, interior.copy())
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as got:
+            solver._guarded(w, interior.copy())
+        assert str(got.value) == str(exc)
+        return
+    guarded = solver._guarded(w, interior.copy())
+    assert not expected[:, [0, -1]].any()
+    assert np.array_equal(guarded.view(np.uint64), expected[:, 1:-1].ravel().view(np.uint64))
+
+
+def test_frozen_steps_between_two_buffers_clip_like_the_moving_kernel(params_benchmark):
+    # dt * a11 just above 1 and v = 0 before every step: each step leaves u a
+    # roundoff-size negative multiple of itself, clipped in the buffer it wrote
+    n, dt, width = 32, 0.05, 30.0
+    p = params_benchmark.with_(a11=(1.0 + 1e-13) / dt)
+    step = solver.frozen_step(p, dt, width, n)
+    buffers = np.empty(2 * (n - 1)), np.empty(2 * (n - 1))
+    w = np.array([np.sin(np.pi * np.linspace(0.0, 1.0, n + 1)), np.zeros(n + 1)])
+    w[0, -1] = 0.0
+    z = w[:, 1:-1].flatten()
+    for i in range(4):
+        w[0, 1:-1] += 1.0  # fresh u, so every step undershoots
+        z[: n - 1] += 1.0
+        w[1], z[n - 1:] = 0.0, 0.0
+        w = imex_density_step(w, p, dt, 1.0 / n, width)
+        z = step(z, buffers[i % 2])
+        assert z is buffers[i % 2] and not w[0].any() and w[1].max() > 0.0
+        assert np.array_equal(z.view(np.uint64), w[:, 1:-1].ravel().view(np.uint64))
