@@ -17,7 +17,7 @@ from . import classify as cls
 from . import eigen
 from .config import RunConfig, parse_config
 from .errors import ConfigurationError, NumericalError, PreconditionError
-from .model import LinearImpulse, validate_assumptions
+from .model import COEFFICIENTS, LinearImpulse, validate_assumptions
 from .output import (
     atomic_write,
     fmt,
@@ -30,7 +30,7 @@ from .output import (
 from .presets import FIGURES, preset
 from .solver import run
 
-SWEEP_AXES = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau", "rho")
+SWEEP_AXES = COEFFICIENTS + ("rho",)
 
 
 def _build_parser() -> argparse.ArgumentParser:

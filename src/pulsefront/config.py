@@ -1,9 +1,12 @@
 """Run configuration: a single JSON document per experiment.
 
-Top-level keys ``model``, ``init``, ``solver``, ``run``.  Growth and impulse
-functions are encoded as tagged objects, e.g. {"kind": "beverton-holt",
-"m": 1, "a": 10} or {"kind": "saturating", "c": 0.5, "b": 10}.  Initial data
-is either the named profile {"kind": "cos-quarter", "amp_u": ..,
+Top-level keys ``model``, ``init``, ``solver``, ``run``.  The model's
+coefficients are ``model.COEFFICIENTS``.  Growth and impulse functions are
+tagged objects, e.g. {"kind": "beverton-holt", "m": 1, "a": 10} or
+{"kind": "saturating", "c": 0.5, "b": 10}: ``kind`` picks a class of the
+``GrowthFn`` or ``ImpulseFn`` union, and exactly that dataclass's fields are
+read (other keys are ignored), so the schema is stated once, in ``model``.
+Initial data is either the named profile {"kind": "cos-quarter", "amp_u": ..,
 "amp_v": ..} or {"kind": "tabulated", "path": "profiles.csv"} with columns
 x,u,v.  Parsing validates every field and then runs the assumption checks;
 hard failures reject the configuration with the assumption label.
@@ -14,27 +17,27 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import (
-    BevertonHoltGrowth,
-    IdentityImpulse,
+    COEFFICIENTS,
+    GrowthFn,
+    ImpulseFn,
     InitialData,
-    LinearGrowth,
-    LinearImpulse,
     ModelParams,
-    SaturatingImpulse,
     validate_assumptions,
 )
 from .solver import SolverConfig
 
 __all__ = ["InitSpec", "RunConfig", "parse_config", "config_to_json_dict", "parse_config_dict"]
 
-MODEL_FIELDS = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau")
+GROWTH_KINDS = {c.kind: c for c in get_args(GrowthFn)}
+IMPULSE_KINDS = {c.kind: c for c in get_args(ImpulseFn)}
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,12 @@ class InitSpec:
             table = base_dir / table
         if not table.exists():
             raise ConfigurationError(f"tabulated profile file not found: {table}")
-        rows = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file of no rows
+                rows = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError, UserWarning) as exc:
+            raise ConfigurationError(f"cannot read tabulated profile {table}: {exc}") from None
         if rows.shape[1] != 3:
             raise ConfigurationError("tabulated profile needs columns x,u,v")
         return InitialData.from_table(rows[:, 0], rows[:, 1], rows[:, 2])
@@ -105,35 +113,23 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return int(val)
 
 
-def _growth(obj: dict):
-    kind = _require(obj, "kind", "model.growth")
-    if kind == "linear":
-        return LinearGrowth(p=_number(obj, "p", "model.growth"))
-    if kind == "beverton-holt":
-        return BevertonHoltGrowth(m=_number(obj, "m", "model.growth"), a=_number(obj, "a", "model.growth"))
-    raise ConfigurationError(f"unknown growth kind {kind!r}; expected 'linear' or 'beverton-holt'")
-
-
-def _impulse(obj: dict):
-    kind = _require(obj, "kind", "model.impulse")
-    if kind == "identity":
-        return IdentityImpulse()
-    if kind == "linear":
-        return LinearImpulse(rho=_number(obj, "rho", "model.impulse"))
-    if kind == "saturating":
-        return SaturatingImpulse(c=_number(obj, "c", "model.impulse"), b=_number(obj, "b", "model.impulse"))
-    raise ConfigurationError(
-        f"unknown impulse kind {kind!r}; expected 'identity', 'linear', or 'saturating'"
-    )
+def _family(obj: dict, where: str, kinds: dict):
+    """The family member named by ``obj["kind"]``, built from its dataclass fields."""
+    kind = _require(obj, "kind", where)
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        expected = ", ".join(map(repr, kinds))
+        raise ConfigurationError(f"unknown kind {kind!r} in {where}; expected one of {expected}")
+    return cls(**{f.name: _number(obj, f.name, where) for f in fields(cls)})
 
 
 def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     base_dir = base_dir or Path(".")
     model_doc = _section(doc, "model", "configuration")
-    kwargs = {name: _number(model_doc, name, "model") for name in MODEL_FIELDS}
+    kwargs = {name: _number(model_doc, name, "model") for name in COEFFICIENTS}
     params = ModelParams(
-        growth=_growth(_section(model_doc, "growth", "model")),
-        impulse=_impulse(_section(model_doc, "impulse", "model")),
+        growth=_family(_section(model_doc, "growth", "model"), "model.growth", GROWTH_KINDS),
+        impulse=_family(_section(model_doc, "impulse", "model"), "model.impulse", IMPULSE_KINDS),
         **kwargs,
     )
 
@@ -151,10 +147,11 @@ def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigurationError(f"unknown init kind {kind!r}; expected 'cos-quarter' or 'tabulated'")
 
     solver_doc = _section(doc, "solver", "configuration") if "solver" in doc else {}
+    names = [f.name for f in fields(SolverConfig)]
     for key in solver_doc:
-        if key not in ("n", "steps_per_period"):
+        if key not in names:
             raise ConfigurationError(
-                f"unknown field '{key}' in solver; it accepts only n and steps_per_period"
+                f"unknown field '{key}' in solver; it accepts only {' and '.join(names)}"
             )
     solver = SolverConfig(**{key: _integer(solver_doc, key, "solver") for key in solver_doc})
 
@@ -215,16 +212,6 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def config_to_json_dict(cfg: RunConfig) -> dict:
     m = cfg.model
-    growth = {"kind": m.growth.kind}
-    if isinstance(m.growth, LinearGrowth):
-        growth["p"] = m.growth.p
-    else:
-        growth.update(m=m.growth.m, a=m.growth.a)
-    impulse = {"kind": m.impulse.kind}
-    if isinstance(m.impulse, LinearImpulse):
-        impulse["rho"] = m.impulse.rho
-    elif isinstance(m.impulse, SaturatingImpulse):
-        impulse.update(c=m.impulse.c, b=m.impulse.b)
     init: dict = {"kind": cfg.init.kind}
     if cfg.init.kind == "cos-quarter":
         init.update(amp_u=cfg.init.amp_u, amp_v=cfg.init.amp_v)
@@ -232,15 +219,12 @@ def config_to_json_dict(cfg: RunConfig) -> dict:
         init["path"] = cfg.init.path
     return {
         "model": {
-            **{name: getattr(m, name) for name in MODEL_FIELDS},
-            "growth": growth,
-            "impulse": impulse,
+            **{name: getattr(m, name) for name in COEFFICIENTS},
+            "growth": {"kind": m.growth.kind, **asdict(m.growth)},
+            "impulse": {"kind": m.impulse.kind, **asdict(m.impulse)},
         },
         "init": init,
-        "solver": {
-            "n": cfg.solver.n,
-            "steps_per_period": cfg.solver.steps_per_period,
-        },
+        "solver": asdict(cfg.solver),
         "run": {
             "t_end": cfg.t_end,
             "snapshot_times": list(cfg.snapshot_times),

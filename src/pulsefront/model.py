@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "SaturatingImpulse",
     "ImpulseFn",
     "ModelParams",
+    "COEFFICIENTS",
     "InitialData",
     "AssumptionCheck",
     "ValidationReport",
@@ -91,9 +92,10 @@ class BevertonHoltGrowth:
     kind = "beverton-holt"
 
     def __post_init__(self):
-        if not (self.m > 0 and self.a > 0):
+        # a finite H = m/a^2 also bounds f'(0) = m/a
+        if not (self.m > 0 and self.a > 0 and math.isfinite(self.m / self.a / self.a)):
             raise ConfigurationError(
-                f"Beverton-Holt growth needs m>0 and a>0, got m={self.m}, a={self.a}"
+                f"Beverton-Holt growth needs m>0, a>0 and a finite m/a^2, got m={self.m}, a={self.a}"
             )
 
     def __call__(self, u):
@@ -108,8 +110,9 @@ class BevertonHoltGrowth:
         return 0.0
 
     def lower_bound_constants(self) -> tuple[float, float]:
-        # m*u/(a+u) - [(m/a)u - (m/a^2)u^2] = m u^3 / (a^2 (a+u)) >= 0 on u >= 0
-        return self.m / self.a**2, 2.0
+        # m*u/(a+u) - [(m/a)u - (m/a^2)u^2] = m u^3 / (a^2 (a+u)) >= 0 on u >= 0;
+        # dividing by a twice cannot underflow a^2 to a zero divisor
+        return self.m / self.a / self.a, 2.0
 
 
 GrowthFn = Union[LinearGrowth, BevertonHoltGrowth]
@@ -169,9 +172,9 @@ class SaturatingImpulse:
     kind = "saturating"
 
     def __post_init__(self):
-        if not (0.0 < self.c < self.b):
+        if not (0.0 < self.c < self.b and math.isfinite(self.c / self.b / self.b)):
             raise ConfigurationError(
-                f"saturating impulse needs 0 < c < b, got c={self.c}, b={self.b}"
+                f"saturating impulse needs 0 < c < b and a finite c/b^2, got c={self.c}, b={self.b}"
             )
 
     def __call__(self, u):
@@ -182,7 +185,7 @@ class SaturatingImpulse:
         return self.c / self.b
 
     def lower_bound_constants(self) -> tuple[float, float]:
-        return self.c / self.b**2, 2.0
+        return self.c / self.b / self.b, 2.0
 
 
 ImpulseFn = Union[IdentityImpulse, LinearImpulse, SaturatingImpulse]
@@ -222,20 +225,10 @@ class ModelParams:
     impulse: ImpulseFn = field(default_factory=IdentityImpulse)
 
     def __post_init__(self):
-        numeric = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau")
-        infinite = [k for k in numeric if not math.isfinite(getattr(self, k))]
+        infinite = [k for k in COEFFICIENTS if not math.isfinite(getattr(self, k))]
         if infinite:
             raise ConfigurationError(f"fields must be finite: {', '.join(infinite)}")
-        positive = {
-            "d1": self.d1,
-            "d2": self.d2,
-            "a11": self.a11,
-            "a12": self.a12,
-            "a22": self.a22,
-            "h0": self.h0,
-            "tau": self.tau,
-        }
-        bad = [k for k, v in positive.items() if not v > 0]
+        bad = [k for k in COEFFICIENTS if k not in ("mu1", "mu2") and not getattr(self, k) > 0]
         if bad:
             raise ConfigurationError(f"fields must be strictly positive: {', '.join(bad)}")
         if not self.h0 <= 0.5 * sys.float_info.max:
@@ -247,6 +240,11 @@ class ModelParams:
 
     def with_(self, **changes) -> "ModelParams":
         return replace(self, **changes)
+
+
+# the nine scalar coefficients, in declaration order: the configuration's
+# "model" keys besides growth and impulse, and the sweep axes
+COEFFICIENTS = tuple(f.name for f in fields(ModelParams) if f.type == "float")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Runs are deterministic: identical inputs give bit-identical outputs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -45,15 +46,16 @@ class SolverConfig:
     steps_per_period: int = 2000
 
     def __post_init__(self):
-        infinite = [k for k in ("n", "steps_per_period") if not math.isfinite(getattr(self, k))]
-        if infinite:
-            raise ConfigurationError(f"solver fields must be finite: {', '.join(infinite)}")
-        if self.n < 16:
-            raise ConfigurationError(f"solver needs n >= 16, got n={self.n}")
-        if self.steps_per_period < 10:
-            raise ConfigurationError(
-                f"need at least 10 steps per period, got {self.steps_per_period}"
-            )
+        # integers, NumPy's too: a fractional count would skew the grid or
+        # the step on which each impulse lands
+        for name, least in (("n", 16), ("steps_per_period", 10)):
+            value = getattr(self, name)
+            try:
+                if operator.index(value) >= least:
+                    continue
+            except TypeError:
+                pass
+            raise ConfigurationError(f"solver needs an integer {name} >= {least}, got {value!r}")
 
     @property
     def xi(self) -> np.ndarray:

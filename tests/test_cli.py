@@ -3,24 +3,32 @@ import copy
 import io
 import json
 import math
+import warnings
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsefront.cli import main
-from pulsefront.config import config_to_json_dict, parse_config, parse_config_dict
+from pulsefront.config import RunConfig, config_to_json_dict, parse_config, parse_config_dict
 from pulsefront.errors import ConfigurationError
 from pulsefront.model import BevertonHoltGrowth
 from pulsefront.output import fmt, svg_front_plot, svg_heatmap
+from pulsefront.presets import FIGURES, preset
+
+GROWTHS = [{"kind": "linear", "p": 0.05}, {"kind": "beverton-holt", "m": 1.0, "a": 10.0}]
+IMPULSES = [
+    {"kind": "identity"}, {"kind": "linear", "rho": 0.5}, {"kind": "saturating", "c": 0.5, "b": 10.0},
+]
 
 
-def small_config_dict(t_end=10.0, n=64, steps=500, mu1=10.0, mu2=15.0, impulse=None):
+def small_config_dict(t_end=10.0, n=64, steps=500, mu1=10.0, mu2=15.0, impulse=None, growth=None):
     return {
         "model": {
             "d1": 0.1, "d2": 0.4, "a11": 0.3, "a12": 0.5, "a22": 0.1,
             "mu1": mu1, "mu2": mu2, "h0": 2.0, "tau": 5.0,
-            "growth": {"kind": "beverton-holt", "m": 1.0, "a": 10.0},
+            "growth": growth or {"kind": "beverton-holt", "m": 1.0, "a": 10.0},
             "impulse": impulse or {"kind": "identity"},
         },
         "init": {"kind": "cos-quarter", "amp_u": 0.3, "amp_v": 0.1},
@@ -77,28 +85,63 @@ def test_parse_rejects_assumption_violation(tmp_path):
         parse_config(path)
 
 
-def test_parse_tabulated_init(tmp_path):
-    xs = [-2.0 + 0.1 * i for i in range(41)]
-    rows = ["x,u,v"] + [
-        f"{x},{0.3 * max(0.0, 1 - abs(x) / 2)},{0.1 * max(0.0, 1 - abs(x) / 2)}" for x in xs
-    ]
-    (tmp_path / "profiles.csv").write_text("\n".join(rows) + "\n")
+def _tabulated_config(tmp_path, table: str | None = None):
+    """A run.json whose init reads profiles.csv, by default hat profiles on [-2, 2]."""
+    if table is None:
+        xs = [-2.0 + 0.1 * i for i in range(41)]
+        table = "\n".join(
+            ["x,u,v"]
+            + [f"{x},{0.3 * max(0.0, 1 - abs(x) / 2)},{0.1 * max(0.0, 1 - abs(x) / 2)}" for x in xs]
+        ) + "\n"
+    (tmp_path / "profiles.csv").write_text(table)
     doc = small_config_dict()
     doc["init"] = {"kind": "tabulated", "path": "profiles.csv"}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
-    cfg = parse_config(path)
+    return path
+
+
+def test_parse_tabulated_init(tmp_path):
+    cfg = parse_config(_tabulated_config(tmp_path))
     u, v = cfg.initial_data().sample([0.0])
     assert u[0] == pytest.approx(0.3) and v[0] == pytest.approx(0.1)
 
 
-def test_config_round_trip():
-    cfg = parse_config_dict(small_config_dict())
-    again = parse_config_dict(config_to_json_dict(cfg))
-    assert again.model == cfg.model
-    assert again.solver == cfg.solver
-    assert again.init == cfg.init
-    assert again.t_end == cfg.t_end and again.snapshot_times == cfg.snapshot_times
+@pytest.mark.parametrize(
+    "table",
+    ["x,u,v\n-2,0,0\n0,abc,0.1\n2,0,0\n", "x,u,v\n-2,0,0\n0,0.3\n2,0,0\n", "x,u,v\n", None],
+    ids=["non-numeric", "ragged", "header-only", "directory"],
+)
+def test_cli_tabulated_read_errors_exit_2(tmp_path, capsys, table):
+    config = _tabulated_config(tmp_path, table or "")
+    if table is None:
+        (tmp_path / "profiles.csv").unlink()
+        (tmp_path / "profiles.csv").mkdir()
+    assert main(["validate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert "profiles.csv" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(small_config_dict(growth=g, impulse=i), id=f"{g['kind']}-{i['kind']}")
+        for g in GROWTHS
+        for i in IMPULSES
+    ]
+    + ["tabulated", *FIGURES],
+)
+def test_config_round_trip(tmp_path, source):
+    if source == "tabulated":
+        cfg = parse_config(_tabulated_config(tmp_path))
+    elif isinstance(source, str):
+        cfg = preset(source).config
+    else:
+        cfg = parse_config_dict(source)
+    again = parse_config_dict(config_to_json_dict(cfg), base_dir=cfg.base_dir)
+    for f in fields(RunConfig):
+        assert getattr(again, f.name) == getattr(cfg, f.name), f.name
 
 
 MALFORMED_FIELDS = [
@@ -112,6 +155,12 @@ MALFORMED_FIELDS = [
     (("model", "tau"), 5e-324),  # t_end / tau overflows
     (("solver", "front_update"), "heun"),
     (("solver", "steps_per_periods"), 500),
+    # a kind that is no string must not reach a dict lookup
+    (("model", "growth", "kind"), ["linear"]),
+    (("model", "impulse", "kind"), {"a": 1}),
+    (("init", "kind"), None),
+    (("model", "growth", "kind"), 7),
+    (("model", "growth", "a"), 1e-170),  # a**2 underflows to 0
 ]
 
 
@@ -148,7 +197,11 @@ def _field_paths(doc, prefix=()):
             yield from _field_paths(val, prefix + (key,))
 
 
-_VALID_DOC = small_config_dict(impulse={"kind": "saturating", "c": 0.5, "b": 10.0})
+# between them the two documents carry every growth and impulse family's fields
+_VALID_DOCS = [
+    small_config_dict(impulse={"kind": "saturating", "c": 0.5, "b": 10.0}),
+    small_config_dict(growth={"kind": "linear", "p": 0.05}, impulse={"kind": "linear", "rho": 0.5}),
+]
 _ODD_VALUES = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan]),
     st.text(max_size=4),
@@ -161,13 +214,18 @@ _ODD_VALUES = st.one_of(
 )
 
 
-@given(st.sampled_from(list(_field_paths(_VALID_DOC))), _ODD_VALUES)
+@given(st.sampled_from([(doc, path) for doc in _VALID_DOCS for path in _field_paths(doc)]), _ODD_VALUES)
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_cli_validate_exit_contract(tmp_path_factory, path, value):
+def test_cli_validate_exit_contract(tmp_path_factory, doc_path, value):
+    doc, path = doc_path
     config = tmp_path_factory.getbasetemp() / "mutated.json"
-    config.write_text(json.dumps(_mutated(_VALID_DOC, path, value)))
+    config.write_text(json.dumps(_mutated(doc, path, value)))
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        # a fractional number of periods is valid input that the CLI warns about,
+        # which pytest's warning filter would otherwise raise
+        warnings.filterwarnings("ignore", "t_end=.* is not a multiple of tau", UserWarning)
         code = main(["validate", "--config", str(config)])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()

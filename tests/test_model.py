@@ -38,6 +38,13 @@ def test_variant_invariants_enforced():
         LinearImpulse(rho=1.5)
     with pytest.raises(ConfigurationError):
         SaturatingImpulse(c=10.0, b=0.5)
+    # H = m/a^2 and c/b^2 must be finite floats, also where a^2 and b^2 underflow to 0
+    with pytest.raises(ConfigurationError, match="m/a"):
+        BevertonHoltGrowth(m=1.0, a=1e-170)
+    with pytest.raises(ConfigurationError, match="c/b"):
+        SaturatingImpulse(c=5e-311, b=1e-310)
+    assert BevertonHoltGrowth(m=1e-300, a=1e-163).lower_bound_constants()[0] == pytest.approx(1e26)
+    assert SaturatingImpulse(c=5e-171, b=1e-170).lower_bound_constants()[0] == pytest.approx(5e169)
 
 
 def test_params_structural_checks(params_benchmark):

@@ -26,6 +26,14 @@ def test_grid_and_config_invariants():
         SolverConfig(steps_per_period=5)
 
 
+@pytest.mark.parametrize(("field", "fraction"), [("n", 64.5), ("steps_per_period", 100.5)])
+def test_solver_counts_must_be_integers(field, fraction):
+    # steps_per_period = 100.5 would reset the bacteria only every other period
+    with pytest.raises(ConfigurationError, match=field):
+        SolverConfig(**{field: fraction})
+    assert getattr(SolverConfig(**{field: np.int64(100)}), field) == 100
+
+
 def test_zero_data_is_equilibrium(params_benchmark):
     init = InitialData(u0=lambda x: np.zeros_like(np.asarray(x, float)),
                        v0=lambda x: np.zeros_like(np.asarray(x, float)))
