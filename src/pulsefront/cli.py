@@ -8,6 +8,7 @@ validate.  Exit codes: 0 success, 2 configuration or validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -101,20 +102,38 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _writing_to(out_dir: Path):
+    """Report an OSError of the file operations in the block as an unusable output directory."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write outputs to {out_dir}: {exc.strerror or exc}") from None
+
+
+def _output_dir(path: str | Path) -> Path:
+    """``path``, created before any work so that an unusable ``--out`` exits 2 at once."""
+    out_dir = Path(path)
+    with _writing_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _simulate_outputs(config: RunConfig, out_dir: Path, t_end: float) -> dict:
     series = run(config.model, config.initial_data(), config.solver, t_end, config.snapshot_times)
-    atomic_write(out_dir / "timeseries.csv", timeseries_csv(series))
     written = ["timeseries.csv"]
-    if series.snapshots:
-        atomic_write(out_dir / "snapshots.csv", snapshots_csv(series))
-        written.append("snapshots.csv")
+    with _writing_to(out_dir):
+        atomic_write(out_dir / "timeseries.csv", timeseries_csv(series))
+        if series.snapshots:
+            atomic_write(out_dir / "snapshots.csv", snapshots_csv(series))
+            written.append("snapshots.csv")
     return {"series": series, "written": written}
 
 
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     t_end = args.t_end if args.t_end is not None else config.t_end
-    out_dir = Path(args.out) if args.out else Path(config.out_dir)
+    out_dir = _output_dir(args.out or config.out_dir)
     result = _simulate_outputs(config, out_dir, t_end)
     series = result["series"]
     _emit(
@@ -213,16 +232,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_reproduce(args) -> int:
     ref = preset(args.figure)
     config = ref.config
-    out_dir = Path(args.out) if args.out else Path("out") / args.figure
+    out_dir = _output_dir(args.out or Path("out") / args.figure)
     result = _simulate_outputs(config, out_dir, config.t_end)
     series = result["series"]
-
-    atomic_write(out_dir / "fronts.svg", svg_front_plot(series, f"{args.figure}: g(t), h(t)"))
-    atomic_write(out_dir / "heatmap.svg", svg_heatmap(series, title=f"{args.figure}: u(t, x)"))
-
     outcome = cls.detect_outcome(series, config.model)
-    write_json(out_dir / "verdict.json", outcome.to_json_dict() | {"figure": args.figure})
-
     eigen_report = {
         name: eigen.principal_eigenvalue_monodromy(config.model, length).to_json_dict()
         for name, length in (("at_h0", 2.0 * config.model.h0), ("at_infinity", math.inf))
@@ -236,7 +249,11 @@ def _cmd_reproduce(args) -> int:
             "lambda_reference": reported,
             "signs_agree": (ours.lam < 0) == (reported < 0),
         }
-    write_json(out_dir / "eigen_report.json", eigen_report)
+    with _writing_to(out_dir):
+        atomic_write(out_dir / "fronts.svg", svg_front_plot(series, f"{args.figure}: g(t), h(t)"))
+        atomic_write(out_dir / "heatmap.svg", svg_heatmap(series, title=f"{args.figure}: u(t, x)"))
+        write_json(out_dir / "verdict.json", outcome.to_json_dict() | {"figure": args.figure})
+        write_json(out_dir / "eigen_report.json", eigen_report)
 
     _emit(
         {

@@ -53,22 +53,17 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 
 def timeseries_csv(series: TimeSeries) -> str:
-    lines = ["t,g,h,sup_u,sup_v"]
-    for i in range(series.t.size):
-        lines.append(
-            ",".join(
-                fmt(a[i]) for a in (series.t, series.g, series.h, series.sup_u, series.sup_v)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    # one % per row; % formats a NumPy float from its double, as fmt does
+    row = "%.17g,%.17g,%.17g,%.17g,%.17g"
+    columns = zip(series.t, series.g, series.h, series.sup_u, series.sup_v)
+    return "\n".join(["t,g,h,sup_u,sup_v", *map(row.__mod__, columns)]) + "\n"
 
 
 def snapshots_csv(series: TimeSeries) -> str:
     lines = ["t,x,u,v"]
     for snap in series.snapshots:
-        t = fmt(snap.t)
-        for j in range(snap.x.size):
-            lines.append(f"{t},{fmt(snap.x[j])},{fmt(snap.u[j])},{fmt(snap.v[j])}")
+        row = fmt(snap.t) + ",%.17g,%.17g,%.17g"
+        lines.extend(map(row.__mod__, zip(snap.x, snap.u, snap.v)))
     return "\n".join(lines) + "\n"
 
 

@@ -125,12 +125,17 @@ def imex_density_step(
     the result equals two separate solves (up to the sign of a zero).
     """
     n = w.shape[1] - 1
-    diff, react = terms or (w[:, 2:] - w[:, :-2], _reactions(w[:, 1:-1], params, dt))
-    adv = (dt / (2.0 * dxi * width_new)) * (vel_g + _interior_xi(n, dxi) * (vel_h - vel_g))
-    rhs = w[:, 1:-1] + adv * diff
+    diff, react = terms or _start_terms(w, params, dt)
+    # in place, and in an order whose bits equal
+    # w + (dt / (2 dxi W)) * (vel_g + xi * (vel_h - vel_g)) * diff + react
+    adv = _interior_xi(n, dxi) * (vel_h - vel_g)
+    adv += vel_g
+    adv *= dt / (2.0 * dxi * width_new)
+    rhs = adv * diff
+    rhs += w[:, 1:-1]
     rhs += react
     diag, off, r_u, r_v = _stage_matrix(params, dt, dxi, width_new, n - 1)
-    _, _, interior, info = dptsv(diag, off, rhs.ravel(), overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    _, _, interior, info = dptsv(diag, off, rhs.ravel(), 1, 1, 1)  # overwrite d, e and b
     if info != 0:
         name, r = ("u", r_u) if info <= n - 1 else ("v", r_v)
         raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
@@ -145,22 +150,41 @@ def frozen_step(params: ModelParams, dt: float, width: float, n: int):
     diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
+    constants = _reaction_constants(dt, params.a11, params.a12, params.a22)
 
     def step(z: np.ndarray, out: np.ndarray) -> np.ndarray:
         rows = z.reshape(2, -1)
-        _reactions(rows, params, dt, out.reshape(2, -1))
+        _reactions(rows, params, dt, constants, out.reshape(2, -1))
         out += z  # addition commutes: the bits of z + reactions
         return _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0])
 
     return step
 
 
-def _reactions(x: np.ndarray, params: ModelParams, dt: float, out: np.ndarray | None = None):
-    """The dt-scaled reactions of the interior rows x = (u, v), written to ``out`` (new if None)."""
-    u, v = x[0], x[1]
+def _start_terms(w: np.ndarray, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit terms of the start state w: central differences and dt-scaled reactions."""
+    constants = _reaction_constants(dt, params.a11, params.a12, params.a22)
+    return w[:, 2:] - w[:, :-2], _reactions(w[:, 1:-1], params, dt, constants)
+
+
+@lru_cache(maxsize=8)
+def _reaction_constants(dt: float, a11: float, a12: float, a22: float) -> tuple[float, np.ndarray]:
+    """dt * a12 and the decay column [[dt * a11], [a22]] of ``_reactions``, shared read-only."""
+    decay = np.array([[dt * a11], [a22]])
+    decay.flags.writeable = False
+    return dt * a12, decay
+
+
+def _reactions(x: np.ndarray, params: ModelParams, dt: float, constants, out: np.ndarray | None = None):
+    """The dt-scaled reactions (dt a12 v - dt a11 u, dt (f(u) - a22 v)) of the interior rows
+    x = (u, v), bit for bit, written to ``out`` (new if None); ``constants`` are
+    ``_reaction_constants`` of dt and the coefficients."""
+    dt_a12, decay = constants
     out = np.empty(x.shape) if out is None else out
-    np.subtract((dt * params.a12) * v, (dt * params.a11) * u, out[0])
-    np.multiply(dt, params.growth(u) - params.a22 * v, out[1])
+    np.multiply(dt_a12, x[1], out[0])
+    out[1] = params.growth(x[0])
+    out -= x * decay
+    out[1] *= dt
     return out
 
 
@@ -231,7 +255,7 @@ def transform_step(
     _stability_guard(params, cfg, dt, max(-vg0, vh0), h - g)
 
     g1, h1 = g + dt * vg0, h + dt * vh0
-    terms = w[:, 2:] - w[:, :-2], _reactions(w[:, 1:-1], params, dt)  # both stages start from w
+    terms = _start_terms(w, params, dt)  # both stages start from w
     wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, terms)
     vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
     g1 = g + 0.5 * dt * (vg0 + vg1)
@@ -262,7 +286,7 @@ class Trajectory:
 
     The state is the fronts ``g``, ``h`` and the (2, n+1) densities ``w``
     (rows u, v).  ``t_end`` sizes the record arrays and sets ``n_steps``;
-    advancing beyond it grows them.
+    advancing beyond it grows them to at least twice their length.
     """
 
     def __init__(
@@ -315,7 +339,7 @@ class Trajectory:
         rec[0, i] = i * dt
         rec[1, i] = self.g
         rec[2, i] = self.h
-        rec[3:, i] = np.maximum.reduce(w, axis=1)  # sup_u, sup_v
+        np.maximum.reduce(w, axis=1, out=rec[3:, i])  # sup_u, sup_v
         while self._pending and i * dt >= self._pending[0] - 0.5 * dt:
             self._pending.pop(0)
             x = self.g + self._xi * (self.h - self.g)
@@ -324,7 +348,9 @@ class Trajectory:
     def advance(self, to_step: int) -> None:
         """Integrate from the current step up to step ``to_step``."""
         if to_step >= self._rec.shape[1]:
-            grown = np.empty((5, to_step + 1))
+            # at least double: a run resumed period by period copies its records
+            # a few times, not once per period
+            grown = np.empty((5, max(to_step + 1, 2 * self._rec.shape[1])))
             grown[:, : self.step + 1] = self._rec[:, : self.step + 1]
             self._rec = grown
         params, cfg, dt, m = self.params, self.cfg, self.dt, self.cfg.steps_per_period

@@ -6,6 +6,7 @@ import math
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,9 @@ from pulsefront.cli import main
 from pulsefront.config import RunConfig, config_to_json_dict, parse_config, parse_config_dict
 from pulsefront.errors import ConfigurationError
 from pulsefront.model import BevertonHoltGrowth
-from pulsefront.output import fmt, svg_front_plot, svg_heatmap
+from pulsefront.output import fmt, snapshots_csv, svg_front_plot, svg_heatmap, timeseries_csv
 from pulsefront.presets import FIGURES, preset
+from pulsefront.solver import Snapshot, TimeSeries
 
 GROWTHS = [{"kind": "linear", "p": 0.05}, {"kind": "beverton-holt", "m": 1.0, "a": 10.0}]
 IMPULSES = [
@@ -412,6 +414,35 @@ def test_cli_simulate_writes_deterministic_csv(tmp_path, capsys):
     assert (out1 / "snapshots.csv").read_text().splitlines()[0] == "t,x,u,v"
 
 
+@pytest.mark.parametrize("command", ["simulate", "reproduce"])
+def test_cli_unusable_out_exits_2_before_the_run(tmp_path, capsys, monkeypatch, config_path, command):
+    import pulsefront.cli as cli_mod
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before the output directory was checked")
+
+    monkeypatch.setattr(cli_mod, "run", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"  # a directory under a regular file cannot be made
+    argv = ["simulate", "--config", str(config_path)] if command == "simulate" else ["reproduce", "fig-a"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: cannot write outputs to {out}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_cli_simulate_failed_write_exits_2(tmp_path, capsys, config_path):
+    out = tmp_path / "o"
+    (out / "timeseries.csv").mkdir(parents=True)  # the rename onto it fails
+    assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: cannot write outputs to {out}: ")
+    assert captured.err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["timeseries.csv"]  # no temporary file is left
+
+
 def test_cli_sweep_mu2_values(tmp_path, capsys):
     doc = small_config_dict(t_end=200.0, n=96, steps=400, mu1=0.1, mu2=1.0)
     path = tmp_path / "weak.json"
@@ -504,6 +535,35 @@ def test_csv_float_format_round_trips():
     x = 0.1 + 0.2
     assert float(fmt(x)) == x
     assert fmt(1.0) == "1"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.0, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("with_snapshots", [True, False])
+def test_csv_writers_equal_per_value_formatting(with_snapshots):
+    # the writers format a whole row per % call; the reference formats each
+    # value on its own through fmt
+    values = np.array(EDGE_FLOATS)
+    columns = [np.roll(values, k) for k in range(5)]
+    snapshots = tuple(
+        Snapshot(t=t, x=np.roll(values, k), u=np.roll(values, k + 1), v=np.roll(values, k + 2))
+        for k, t in enumerate(EDGE_FLOATS)
+    ) if with_snapshots else ()
+    series = TimeSeries(*columns, snapshots=snapshots)
+
+    lines = ["t,g,h,sup_u,sup_v"]
+    for i in range(values.size):
+        lines.append(",".join(fmt(c[i]) for c in columns))
+    assert timeseries_csv(series) == "\n".join(lines) + "\n"
+    lines = ["t,x,u,v"]
+    for snap in snapshots:
+        for j in range(snap.x.size):
+            lines.append(f"{fmt(snap.t)},{fmt(snap.x[j])},{fmt(snap.u[j])},{fmt(snap.v[j])}")
+    assert snapshots_csv(series) == "\n".join(lines) + "\n"
+    assert timeseries_csv(series).splitlines()[1:3] == [
+        "-0,-inf,inf,nan,2", "4.9406564584124654e-324,-0,-inf,inf,nan",
+    ]
 
 
 def test_svg_outputs_deterministic(params_benchmark, init_cos):

@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -36,3 +37,22 @@ def test_cli_import_loads_no_optimize_or_integrate():
 def test_package_import_loads_no_optimize_integrate_or_sparse():
     # the package imports periodic, whose frozen-interval kernel lives in solver
     assert _heavy_modules_loaded("pulsefront") == "[]"
+
+
+def test_every_benchmark_span_target_resolves():
+    # the benchmark's tracer skips a target it cannot find, so a renamed
+    # function would make its traced metrics read 0 rather than fail
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    unresolved = []
+    for name, module_name, attr in spans.TARGETS:
+        module = importlib.import_module(module_name)
+        if isinstance(attr, tuple):
+            ok = all("__call__" in vars(getattr(module, cls, object)) for cls in attr)
+        else:
+            ok = callable(getattr(module, attr, None))
+        if not ok:
+            unresolved.append(name)
+    assert not unresolved, f"perfbench/spans.py TARGETS that no longer resolve: {unresolved}"

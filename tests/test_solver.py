@@ -185,9 +185,23 @@ def test_trajectory_in_pieces_matches_run(params_disinfected, init_cos):
     _assert_same_series(traj.series(), whole)
     # resuming past the first horizon grows the records and equals a fresh run
     first = traj.series()
-    traj.advance(traj.steps_to(2.0 * t_end))
+    buffers = [traj._rec]
+
+    def advance(k):
+        traj.advance(k)
+        if traj._rec is not buffers[-1]:
+            buffers.append(traj._rec)
+
+    advance(traj.steps_to(2.0 * t_end))
     _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, 2.0 * t_end, snaps))
     _assert_same_series(first, whole)
+    # then one period at a time up to 4x the horizon: the capacity at least
+    # doubles on each growth, so the records are not copied once per period
+    last = traj.steps_to(4.0 * t_end)
+    while traj.step < last:
+        advance(min(traj.step + cfg.steps_per_period, last))
+    assert len(buffers) <= 3
+    _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, 4.0 * t_end, snaps))
 
 
 def test_timeseries_shape_and_times(params_benchmark, init_cos):
