@@ -4,7 +4,6 @@ from .classify import (
     Classification,
     ThresholdResult,
     Verdict,
-    analytic_regime,
     classify_analytic,
     critical_length,
     detect_outcome,

@@ -5,9 +5,13 @@ When it is negative the initial-interval eigenvalue splits the remainder:
 non-positive certifies spreading, positive leaves the outcome to the
 expansion capacities and initial data, which is where simulation-backed
 detection and the bisection searches for the sharp mu2 and initial-size
-thresholds come in.  A threshold probe stops early once its outcome is
-certain: spreading once the width passes the critical length, vanishing
-once an upper solution whose front stays below it dominates the state.
+thresholds come in.  In that regime the classification carries the
+critical length L*, the width at which the frozen-interval eigenvalue
+crosses zero; it depends on neither mu1, mu2 nor the initial data, so a
+search or sweep over those classifies once and shares the result.  A
+threshold probe stops early once its outcome is certain: spreading once
+the width passes L*, vanishing once an upper solution whose front stays
+below it dominates the state.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
+from .eigen import _bisect, lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
 from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams, validate_assumptions
 from .solver import SolverConfig, TimeSeries, Trajectory
@@ -30,7 +34,6 @@ __all__ = [
     "Classification",
     "ThresholdResult",
     "classify_analytic",
-    "analytic_regime",
     "critical_length",
     "detect_outcome",
     "find_mu_threshold",
@@ -72,9 +75,14 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """A verdict, the two eigenvalues it rests on and, in the
+    threshold-dependent regime, the critical length L* (None elsewhere).
+    L* is not part of the JSON form."""
+
     verdict: Verdict
     lambda_infinity: float
     lambda_h0: float
+    critical_length: float | None = None
     evidence: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -101,38 +109,27 @@ class ThresholdResult:
 
 
 def classify_analytic(params: ModelParams) -> Classification:
-    """Verdict from the two eigenvalues alone; no simulation."""
+    """Verdict from the two eigenvalues alone, no simulation, and in the
+    threshold-dependent regime the critical length."""
     lam_inf = lambda_infinity(params).lam
     lam_h0 = lambda_at_h0(params).lam
+    critical = None
     if lam_inf >= 0:
         verdict = Verdict.VANISHING
     elif lam_h0 <= 0:
         verdict = Verdict.SPREADING
     else:
         verdict = Verdict.THRESHOLD_DEPENDENT
-    return Classification(verdict=verdict, lambda_infinity=lam_inf, lambda_h0=lam_h0)
+        critical = critical_length(params)
+    return Classification(verdict, lam_inf, lam_h0, critical)
 
 
-def _check_tol(tol: float, lo: float, hi: float, what: str) -> None:
-    """Reject a bisection tolerance that is not finite and positive, or that
-    the bracket (lo, hi) cannot reach."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise PreconditionError(f"tol must be finite and positive, got {tol}")
-    # adjacent floats of the bracket lie at most one spacing of its larger end
-    # apart; a tol below that is never reached, since their midpoint is one of them
-    spacing = math.ulp(max(abs(lo), abs(hi)))
-    if tol < spacing:
-        raise PreconditionError(
-            f"tol {tol:g} is below the float spacing {spacing:g} of the {what} bracket "
-            f"({lo:g}, {hi:g}); bisection cannot reach it"
-        )
-
-
-def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
+def critical_length(params: ModelParams) -> float:
     """Interval width at which the frozen-interval eigenvalue crosses zero.
 
     Exists exactly in the threshold-dependent regime; the eigenvalue is
-    strictly decreasing in width, so plain bisection brackets the root.
+    strictly decreasing in width, so bisection to adjacent floats brackets
+    the root.
     """
     lam_inf = lambda_infinity(params).lam
     lam_h0 = lambda_at_h0(params).lam
@@ -150,38 +147,17 @@ def critical_length(params: ModelParams, tol: float = 1e-8) -> float:
         lo, hi = hi, 2.0 * hi
         if hi > 1e12:
             raise NumericalError("no sign change found while expanding the width bracket")
-    _check_tol(tol, lo, hi, "width")
-    while hi - lo > tol:
-        mid = 0.5 * lo + 0.5 * hi
-        if principal_eigenvalue_monodromy(params, mid).lam > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * lo + 0.5 * hi
-
-
-def analytic_regime(params: ModelParams) -> tuple[Classification, float | None]:
-    """``classify_analytic(params)`` and, in the threshold-dependent regime,
-    ``critical_length(params)``, else None.  Neither depends on mu1, mu2 or
-    the initial data, so a search or sweep over those computes the pair once
-    and passes it to ``detect_outcome``."""
-    analytic = classify_analytic(params)
-    if analytic.verdict is not Verdict.THRESHOLD_DEPENDENT:
-        return analytic, None
-    return analytic, critical_length(params)
+    return _bisect(lambda width: principal_eigenvalue_monodromy(params, width).lam > 0, lo, hi)
 
 
 def detect_outcome(
-    series: TimeSeries,
-    params: ModelParams,
-    *,
-    analytic: Classification | None = None,
-    critical: float | None = None,
+    series: TimeSeries, params: ModelParams, *, analytic: Classification | None = None
 ) -> Classification:
     """Classify a completed run; Undecided is a valid outcome (extend t_end).
 
-    ``analytic`` and ``critical`` are the pair of ``analytic_regime(params)``;
-    left out, they are computed here.
+    ``analytic`` is ``classify_analytic(params)``, computed here when left
+    out; its critical length, or SPREAD_CAP * h0 outside the
+    threshold-dependent regime, is the width past which the run spreads.
     """
     if analytic is None:
         analytic = classify_analytic(params)
@@ -194,9 +170,8 @@ def detect_outcome(
     trailing_growth = float(width[-1] - width[idx])
 
     # the width past which a run counts as spreading
-    if analytic.verdict is Verdict.THRESHOLD_DEPENDENT:
-        trigger = critical_length(params) if critical is None else critical
-    else:
+    trigger = analytic.critical_length
+    if trigger is None:
         trigger = SPREAD_CAP * params.h0
     evidence = {
         "t_end": t1,
@@ -296,7 +271,6 @@ def _probe(
     t_end: float,
     label: str,
     analytic: Classification,
-    critical: float,
     upper: _UpperSolutions | None,
 ) -> Verdict:
     """Simulate and classify; one doubling of the horizon on Undecided.
@@ -317,14 +291,14 @@ def _probe(
         reason = "horizon"
         while traj.step < horizon:
             traj.advance(min(horizon, (traj.step // m + 1) * m))
-            if _spreads(traj.series(), critical):  # L* is the trigger of a search's regime
+            if _spreads(traj.series(), analytic.critical_length):
                 reason = "spreading"
                 break
             if upper is not None and traj.step % m == 0:
                 certificate = _vanishing_certificate(traj, params, upper)
                 if certificate is not None:
                     return "certificate", certificate, None
-        outcome = detect_outcome(traj.series(), params, analytic=analytic, critical=critical)
+        outcome = detect_outcome(traj.series(), params, analytic=analytic)
         return reason, None, outcome
 
     horizon = traj.n_steps
@@ -365,7 +339,16 @@ def _bisect_threshold(
 ) -> ThresholdResult:
     if not (lo < hi):
         raise PreconditionError(f"degenerate {what} bracket: lo={lo}, hi={hi}")
-    _check_tol(tol, lo, hi, what)
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol must be finite and positive, got {tol}")
+    # adjacent floats of the bracket lie at most one spacing of its larger end
+    # apart; a tol below that is never reached, since their midpoint is one of them
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    if tol < spacing:
+        raise PreconditionError(
+            f"tol {tol:g} is below the float spacing {spacing:g} of the {what} bracket "
+            f"({lo:g}, {hi:g}); bisection cannot reach it"
+        )
     history: list[tuple[float, Verdict]] = []
     brackets: list[tuple[float, float]] = []
 
@@ -397,20 +380,21 @@ def _bisect_threshold(
 
 def _search_regime(
     params: ModelParams, t_end: float | None, what: str
-) -> tuple[float, Classification, float, _UpperSolutions | None]:
+) -> tuple[float, Classification, _UpperSolutions | None]:
     """Check the regime a threshold search needs; return its probe horizon,
-    the pair of ``analytic_regime`` every probe shares and the vanishing
-    certificate's table, none of which the searched mu2 or kappa changes.
-    The table is None where A2-A4 fail: the certificate needs f(s) <= f'(0)s
-    and G(s) <= G'(0)s."""
-    analytic, critical = analytic_regime(params)
+    the classification every probe shares and the vanishing certificate's
+    table, none of which the searched mu2 or kappa changes.  The table is
+    None where A2-A4 fail: the certificate needs f(s) <= f'(0)s and
+    G(s) <= G'(0)s."""
+    analytic = classify_analytic(params)
+    critical = analytic.critical_length
     if critical is None:
         raise PreconditionError(
             f"{what} threshold search needs the threshold-dependent regime, got {analytic.verdict}"
         )
     horizon = 40.0 * params.tau if t_end is None else t_end
     upper = _upper_solutions(params, critical) if validate_assumptions(params, None).all_pass else None
-    return horizon, analytic, critical, upper
+    return horizon, analytic, upper
 
 
 def find_mu_threshold(
@@ -426,11 +410,11 @@ def find_mu_threshold(
     Valid only in the threshold-dependent regime; the bracket ends must
     straddle the outcome (Vanishing low, Spreading high).
     """
-    horizon, analytic, critical, upper = _search_regime(params, t_end, "mu2")
+    horizon, analytic, upper = _search_regime(params, t_end, "mu2")
 
     def evaluate(mu2: float) -> Verdict:
         p = params.with_(mu2=mu2)
-        return _probe(p, init, cfg, horizon, f"mu2={mu2:.6g}", analytic, critical, upper)
+        return _probe(p, init, cfg, horizon, f"mu2={mu2:.6g}", analytic, upper)
 
     return _bisect_threshold(evaluate, mu2_bracket[0], mu2_bracket[1], tol, "mu2")
 
@@ -453,11 +437,11 @@ def find_kappa_threshold(
             "kappa threshold search requires a linear (or identity) impulse; "
             f"got {params.impulse.kind}"
         )
-    horizon, analytic, critical, upper = _search_regime(params, t_end, "kappa")
+    horizon, analytic, upper = _search_regime(params, t_end, "kappa")
 
     def evaluate(kappa: float) -> Verdict:
         scaled = upsilon.scaled(kappa, 1.0)
         label = f"kappa={kappa:.6g}"
-        return _probe(params, scaled, cfg, horizon, label, analytic, critical, upper)
+        return _probe(params, scaled, cfg, horizon, label, analytic, upper)
 
     return _bisect_threshold(evaluate, kappa_bracket[0], kappa_bracket[1], tol, "kappa")

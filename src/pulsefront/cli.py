@@ -189,16 +189,16 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _sweep_row(config: RunConfig, axis: str, value: float, shared: tuple | None) -> str:
+def _sweep_row(config: RunConfig, axis: str, value: float, shared: cls.Classification | None) -> str:
     if axis == "rho":
         model = config.model.with_(impulse=LinearImpulse(rho=value))
     else:
         model = config.model.with_(**{axis: value})
-    analytic, critical = shared or (cls.classify_analytic(model), None)
+    analytic = shared or cls.classify_analytic(model)
     series = run(model, config.init.build(model, config.base_dir), config.solver, config.t_end)
     verdict = analytic.verdict
     if verdict is cls.Verdict.THRESHOLD_DEPENDENT:
-        verdict = cls.detect_outcome(series, model, analytic=analytic, critical=critical).verdict
+        verdict = cls.detect_outcome(series, model, analytic=analytic).verdict
     return ",".join(
         [
             fmt(value),
@@ -218,11 +218,11 @@ def _cmd_sweep(args) -> int:
             f"unknown sweep axis {args.axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
         )
     values = _parse_values(args.values)
-    # the eigenvalues, hence the regime and the critical length, do not
-    # depend on the expansion capacities: compute them once for those axes
+    # the classification (the eigenvalues, the regime and its critical
+    # length) does not depend on the expansion capacities: one serves those axes
     shared = None
     if args.axis in ("mu1", "mu2") and values:
-        shared = cls.analytic_regime(config.model)
+        shared = cls.classify_analytic(config.model)
     header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
     rows = [_sweep_row(config, args.axis, v, shared) for v in values]
     sys.stdout.write("\n".join([header] + rows) + "\n")

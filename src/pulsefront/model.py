@@ -286,11 +286,10 @@ class InitialData:
             v0=lambda q: np.interp(np.asarray(q, dtype=float), x, v),
         )
 
-    def scaled(self, factor_u: float, factor_v: float | None = None) -> "InitialData":
+    def scaled(self, factor_u: float, factor_v: float) -> "InitialData":
         """Pointwise rescaling, used by comparison tests and threshold searches."""
-        fv = factor_u if factor_v is None else factor_v
         u0, v0 = self.u0, self.v0
-        return InitialData(u0=lambda x: factor_u * u0(x), v0=lambda x: fv * v0(x))
+        return InitialData(u0=lambda x: factor_u * u0(x), v0=lambda x: factor_v * v0(x))
 
     def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)

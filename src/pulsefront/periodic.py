@@ -77,9 +77,11 @@ class PeriodicOrbit:
     ``t`` holds sample times in [0, tau]; the first row is the post-reset
     state, the last the periodic pre-reset state.  ``x`` is None for the
     homogeneous orbit, else the interval nodes (then U, V have one row per
-    sample time).  ``start_pre_reset`` is the fixed point of the period map.
-    ``periods`` counts the period-map evaluations of the search, Jacobian
-    directions included.
+    sample time).  ``start_pre_reset`` is the pre-reset state the search
+    stopped at: the fixed point of the period map on the positive orbit;
+    on the zero orbit, zeros for the homogeneous one and the last image
+    (sup below tol) for the interval one.  ``periods`` counts the
+    period-map evaluations of the search, Jacobian directions included.
     """
 
     t: np.ndarray
@@ -88,8 +90,8 @@ class PeriodicOrbit:
     residual: float
     is_positive: bool
     periods: int
+    start_pre_reset: np.ndarray
     x: np.ndarray | None = None
-    start_pre_reset: np.ndarray | None = None
 
 
 def _check_count(name: str, value: int, least: int) -> None:

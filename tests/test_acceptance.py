@@ -309,7 +309,7 @@ def test_criterion_11_comparison_principle(params_benchmark, init_cos):
     cfg = SolverConfig(n=128, steps_per_period=1000)
     times = tuple(np.linspace(0.0, 10.0, 21))
     small = run(params_benchmark, init_cos, cfg, 10.0, snapshot_times=times)
-    big = run(params_benchmark, init_cos.scaled(1.5), cfg, 10.0, snapshot_times=times)
+    big = run(params_benchmark, init_cos.scaled(1.5, 1.5), cfg, 10.0, snapshot_times=times)
 
     assert bool(np.all(big.h >= small.h)) and bool(np.all(big.g <= small.g))
     assert bool(np.all(big.h[1:] > small.h[1:]))

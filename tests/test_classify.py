@@ -48,7 +48,7 @@ def test_classify_analytic_regimes(params_benchmark, params_disinfected):
 
 def test_critical_length_matches_quadratic(params_benchmark):
     p = params_benchmark
-    lstar = critical_length(p, tol=1e-10)
+    lstar = critical_length(p)
     # identity impulse: the crossing is where det B(lam0) vanishes
     A = p.d1 * p.d2
     B = p.d1 * p.a22 + p.d2 * p.a11
@@ -60,7 +60,7 @@ def test_critical_length_matches_quadratic(params_benchmark):
 def test_critical_length_brackets_sign_change(params_benchmark):
     from pulsefront.eigen import principal_eigenvalue_monodromy
 
-    lstar = critical_length(params_benchmark, tol=1e-8)
+    lstar = critical_length(params_benchmark)
     assert principal_eigenvalue_monodromy(params_benchmark, lstar - 1e-4).lam > 0
     assert principal_eigenvalue_monodromy(params_benchmark, lstar + 1e-4).lam < 0
 
@@ -70,16 +70,25 @@ def test_critical_length_grows_as_impulse_strengthens(params_benchmark):
     assert critical_length(weaker) > critical_length(params_benchmark)
 
 
+def test_critical_length_far_above_the_initial_interval():
+    # a12 f'(0) a hair above a11 a22 puts the whole-line eigenvalue at -7e-16
+    # and L* near 6.4e7, where adjacent widths lie 7.5e-9 apart
+    from pulsefront.eigen import principal_eigenvalue_monodromy
+
+    p = base_params_cd(1.0).with_(a12=0.3 * (1 + 1e-14))
+    lstar = critical_length(p)
+    assert 6e7 < lstar < 7e7
+    lam = lambda width: principal_eigenvalue_monodromy(p, width).lam
+    below, above = math.nextafter(lstar, 0.0), math.nextafter(lstar, math.inf)
+    assert lam(below) > 0 >= lam(lstar) or lam(lstar) > 0 >= lam(above)
+    assert classify_analytic(p).critical_length == lstar
+
+
 def test_critical_length_preconditions(params_benchmark, params_disinfected):
     with pytest.raises(PreconditionError, match="whole-line"):
         critical_length(params_disinfected)
     with pytest.raises(PreconditionError, match="initial-interval"):
         critical_length(params_benchmark.with_(h0=100.0))
-    # tol 0 is never reached (adjacent-float midpoints do not shrink the
-    # bracket), and nan or inf would end the bisection at its first bracket
-    for tol in (0.0, -1.0, math.nan, math.inf, 1e-300):
-        with pytest.raises(PreconditionError, match="tol"):
-            critical_length(base_params_cd(1.0), tol=tol)
 
 
 def test_detect_zero_series_vanishes(params_benchmark):
@@ -251,6 +260,11 @@ def test_mu_threshold_preconditions(params_disinfected, init_cos):
     cfg = SolverConfig(n=64, steps_per_period=100)
     with pytest.raises(PreconditionError, match="threshold-dependent"):
         find_mu_threshold(params_disinfected, init_cos, cfg, (1.0, 10.0), 0.5)
+    # tol 0 is never reached (adjacent-float midpoints do not shrink the
+    # bracket), and nan or inf would end the bisection at its first bracket
+    for tol in (0.0, -1.0, math.nan, math.inf, 1e-300):
+        with pytest.raises(PreconditionError, match="tol"):
+            find_mu_threshold(base_params_cd(1.0), init_cos, cfg, (1.0, 10.0), tol)
 
 
 def test_mu_threshold_degenerate_bracket(init_cos):
@@ -346,7 +360,7 @@ def _counted_probe(monkeypatch, mu2):
 
     params = base_params_cd(1.0)
     init, cfg = InitialData.cos_quarter(2.0, 0.3, 0.1), SolverConfig(n=32, steps_per_period=25)
-    horizon, analytic, critical, upper = classify._search_regime(params, None, "mu2")
+    horizon, analytic, upper = classify._search_regime(params, None, "mu2")
     steps, evidences = [0], []
     real_step, real_detect = solver.transform_step, classify.detect_outcome
 
@@ -362,7 +376,7 @@ def _counted_probe(monkeypatch, mu2):
     monkeypatch.setattr(solver, "transform_step", counted_step)
     monkeypatch.setattr(classify, "detect_outcome", spied_detect)
     verdict = classify._probe(
-        params.with_(mu2=mu2), init, cfg, horizon, f"mu2={mu2}", analytic, critical, upper
+        params.with_(mu2=mu2), init, cfg, horizon, f"mu2={mu2}", analytic, upper
     )
     return verdict, evidences, steps[0], round(horizon / (params.tau / cfg.steps_per_period))
 
@@ -430,13 +444,13 @@ def test_probes_log_one_debug_record_each(caplog, capsys):
 def test_certificate_needs_assumptions_a2_to_a4(params_benchmark):
     import pulsefront.classify as classify
 
-    _, _, critical, upper = classify._search_regime(params_benchmark, None, "mu2")
+    _, analytic, upper = classify._search_regime(params_benchmark, None, "mu2")
     assert upper is not None and len(upper.sigma_inf) == classify.CERTIFICATE_GRID
-    assert np.all(upper.delta > 0) and np.all(2.0 * upper.sigma_inf < critical)
+    assert np.all(upper.delta > 0) and np.all(2.0 * upper.sigma_inf < analytic.critical_length)
     # f(u)/u = 0.07 is above a11*a22/a12 = 0.06: A2 fails, the regime does not
     bad = params_benchmark.with_(growth=LinearGrowth(p=0.07))
     assert not validate_assumptions(bad, None).all_pass
-    assert classify._search_regime(bad, None, "mu2")[3] is None
+    assert classify._search_regime(bad, None, "mu2")[2] is None
 
 
 def _benchmark_bracket(seed):
@@ -498,11 +512,11 @@ def test_certificate_never_fires_on_a_spreading_run():
     import pulsefront.classify as classify
 
     params = base_params_cd(1.5625)
-    horizon, analytic, critical, upper = classify._search_regime(params, None, "mu2")
+    horizon, analytic, upper = classify._search_regime(params, None, "mu2")
     cfg = SolverConfig(n=128, steps_per_period=100)
     traj = Trajectory(params, InitialData.cos_quarter(2.0, 0.3, 0.1), cfg, horizon)
     for period_end in range(100, traj.n_steps + 1, 100):
         traj.advance(period_end)
         assert classify._vanishing_certificate(traj, params, upper) is None
-    outcome = detect_outcome(traj.series(), params, analytic=analytic, critical=critical)
+    outcome = detect_outcome(traj.series(), params, analytic=analytic)
     assert outcome.verdict is Verdict.SPREADING

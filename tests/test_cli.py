@@ -350,6 +350,22 @@ def test_cli_classify(config_path, capsys):
     assert payload["lambda_infinity"] < 0 < payload["lambda_h0"]
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "--simulate"],
+    ["sweep", "--axis", "mu2", "--values", "1,2"],
+])
+def test_cli_large_critical_length_is_decided(tmp_path, capsys, command):
+    # L* near 6.4e7, where adjacent widths lie 7.5e-9 apart: the critical
+    # length is bisected to adjacent floats, not to a fixed tolerance
+    doc = small_config_dict(t_end=10.0, n=16, steps=10, mu1=0.1, mu2=1.0)
+    doc["model"]["a12"] = 0.3 * (1 + 1e-14)
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], "--config", str(path), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert "Undecided" in out
+
+
 def test_cli_classify_simulate_flag(config_path, capsys):
     # threshold-dependent regime resolved (or honestly left open) by a run
     assert main(["classify", "--config", str(config_path), "--simulate"]) == 0

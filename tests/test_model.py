@@ -148,7 +148,7 @@ def test_initial_data_families():
     ut, _ = tab.sample(np.array([0.0]))
     assert ut[0] == pytest.approx(0.3)
 
-    scaled = init.scaled(1.5)
+    scaled = init.scaled(1.5, 1.5)
     us, vs = scaled.sample(np.array([0.0]))
     assert us[0] == pytest.approx(0.45) and vs[0] == pytest.approx(0.15)
 
