@@ -26,7 +26,7 @@ import numpy as np
 
 from .eigen import _bisect, lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
-from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams, validate_assumptions
+from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams
 from .solver import SolverConfig, TimeSeries, Trajectory
 
 __all__ = [
@@ -271,13 +271,13 @@ def _probe(
     t_end: float,
     label: str,
     analytic: Classification,
-    upper: _UpperSolutions | None,
+    upper: _UpperSolutions,
 ) -> Verdict:
     """Simulate and classify; one doubling of the horizon on Undecided.
 
     The run advances one period at a time.  It stops as soon as the spreading
-    condition holds, which no later step can undo, or, unless ``upper`` is
-    None, as soon as a period end carries a vanishing certificate.  An Undecided run
+    condition holds, which no later step can undo, or as soon as a period end
+    carries a vanishing certificate built from ``upper``.  An Undecided run
     at ``t_end`` continues the same trajectory to ``2 * t_end``: its records
     are bit-identical to a fresh run of that length.
     """
@@ -294,7 +294,7 @@ def _probe(
             if _spreads(traj.series(), analytic.critical_length):
                 reason = "spreading"
                 break
-            if upper is not None and traj.step % m == 0:
+            if traj.step % m == 0:
                 certificate = _vanishing_certificate(traj, params, upper)
                 if certificate is not None:
                     return "certificate", certificate, None
@@ -337,6 +337,8 @@ def _probe(
 def _bisect_threshold(
     evaluate, lo: float, hi: float, tol: float, what: str
 ) -> ThresholdResult:
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise PreconditionError(f"{what} bracket ends must be finite, got lo={lo}, hi={hi}")
     if not (lo < hi):
         raise PreconditionError(f"degenerate {what} bracket: lo={lo}, hi={hi}")
     if not (math.isfinite(tol) and tol > 0):
@@ -380,12 +382,12 @@ def _bisect_threshold(
 
 def _search_regime(
     params: ModelParams, t_end: float | None, what: str
-) -> tuple[float, Classification, _UpperSolutions | None]:
+) -> tuple[float, Classification, _UpperSolutions]:
     """Check the regime a threshold search needs; return its probe horizon,
     the classification every probe shares and the vanishing certificate's
-    table, none of which the searched mu2 or kappa changes.  The table is
-    None where A2-A4 fail: the certificate needs f(s) <= f'(0)s and
-    G(s) <= G'(0)s."""
+    table, none of which the searched mu2 or kappa changes.  The certificate
+    needs f(s) <= f'(0)s and G(s) <= G'(0)s, which every growth and impulse
+    family meets by construction."""
     analytic = classify_analytic(params)
     critical = analytic.critical_length
     if critical is None:
@@ -393,8 +395,7 @@ def _search_regime(
             f"{what} threshold search needs the threshold-dependent regime, got {analytic.verdict}"
         )
     horizon = 40.0 * params.tau if t_end is None else t_end
-    upper = _upper_solutions(params, critical) if validate_assumptions(params, None).all_pass else None
-    return horizon, analytic, upper
+    return horizon, analytic, _upper_solutions(params, critical)
 
 
 def find_mu_threshold(

@@ -13,13 +13,12 @@ from pulsefront.classify import (
     find_kappa_threshold,
     find_mu_threshold,
 )
-from pulsefront.errors import PreconditionError
+from pulsefront.errors import ConfigurationError, PreconditionError
 from pulsefront.model import (
     InitialData,
     LinearGrowth,
     LinearImpulse,
     SaturatingImpulse,
-    validate_assumptions,
 )
 from pulsefront.solver import SolverConfig, TimeSeries, Trajectory, run
 from pulsefront.presets import base_params_cd
@@ -274,6 +273,14 @@ def test_mu_threshold_degenerate_bracket(init_cos):
         find_mu_threshold(p, init_cos, cfg, (3.0, 3.0), 0.5)
 
 
+@pytest.mark.parametrize("bracket", [(1.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)])
+def test_mu_threshold_nonfinite_bracket(init_cos, bracket):
+    # the end is named; an infinite one used to pass as a float spacing of inf, blaming tol
+    cfg = SolverConfig(n=64, steps_per_period=100)
+    with pytest.raises(PreconditionError, match="bracket ends must be finite"):
+        find_mu_threshold(base_params_cd(1.0), init_cos, cfg, bracket, 0.5)
+
+
 def test_kappa_threshold_rejects_nonlinear_impulse(params_benchmark, init_cos):
     p = params_benchmark.with_(impulse=SaturatingImpulse(c=0.5, b=10.0))
     cfg = SolverConfig(n=64, steps_per_period=100)
@@ -441,16 +448,18 @@ def test_probes_log_one_debug_record_each(caplog, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_certificate_needs_assumptions_a2_to_a4(params_benchmark):
+def test_certificate_table_and_unbounded_growth(params_benchmark, init_cos):
     import pulsefront.classify as classify
 
     _, analytic, upper = classify._search_regime(params_benchmark, None, "mu2")
-    assert upper is not None and len(upper.sigma_inf) == classify.CERTIFICATE_GRID
+    assert len(upper.sigma_inf) == classify.CERTIFICATE_GRID
     assert np.all(upper.delta > 0) and np.all(2.0 * upper.sigma_inf < analytic.critical_length)
-    # f(u)/u = 0.07 is above a11*a22/a12 = 0.06: A2 fails, the regime does not
+    # f(u)/u = 0.07 is above a11*a22/a12 = 0.06: the slope margin of A2 fails,
+    # the regime does not, and the first probe finds no uniform density bound
     bad = params_benchmark.with_(growth=LinearGrowth(p=0.07))
-    assert not validate_assumptions(bad, None).all_pass
-    assert classify._search_regime(bad, None, "mu2")[2] is None
+    cfg = SolverConfig(n=64, steps_per_period=100)
+    with pytest.raises(ConfigurationError, match="no uniform density bound"):
+        find_mu_threshold(bad, init_cos, cfg, (1.0, 10.0), 0.5)
 
 
 def _benchmark_bracket(seed):

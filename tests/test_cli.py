@@ -305,6 +305,11 @@ def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
         # the monodromy matrix rounds to I; then dt = tau / 10 rounds to 0
         (["sweep", "--axis", "tau", "--values", "5e-324"], {}, 2),
         (["simulate", "--t-end", "1e-10"], {}, 4),  # below one step of dt = 0.5
+        # the shapes of A2-A4 are the families' own: no sampled check trips on rounding
+        (["validate"], {"growth": {"kind": "beverton-holt", "m": 1e14, "a": 1e8}}, 0),
+        # f'(0) = m/a and G'(0) = c/b round to 0: the constructors refuse them
+        (["validate"], {"growth": {"kind": "beverton-holt", "m": 5e-324, "a": 2.0}}, 2),
+        (["validate"], {"impulse": {"kind": "saturating", "c": 5e-324, "b": 2.0}}, 2),
     ],
 )
 def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, model, code):

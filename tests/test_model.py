@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsefront.errors import ConfigurationError
@@ -43,6 +43,13 @@ def test_variant_invariants_enforced():
         BevertonHoltGrowth(m=1.0, a=1e-170)
     with pytest.raises(ConfigurationError, match="c/b"):
         SaturatingImpulse(c=5e-311, b=1e-310)
+    # f'(0) = m/a and G'(0) = c/b must not round to 0: the eigenvalue routines need them positive
+    with pytest.raises(ConfigurationError, match="m/a"):
+        BevertonHoltGrowth(m=5e-324, a=2.0)
+    with pytest.raises(ConfigurationError, match="c/b"):
+        SaturatingImpulse(c=5e-324, b=2.0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        LinearGrowth(p=np.inf)
     assert BevertonHoltGrowth(m=1e-300, a=1e-163).lower_bound_constants()[0] == pytest.approx(1e26)
     assert SaturatingImpulse(c=5e-171, b=1e-170).lower_bound_constants()[0] == pytest.approx(5e169)
 
@@ -73,35 +80,58 @@ def test_non_finite_fields_rejected(params_benchmark, field, bad):
             SolverConfig(**{name: bad})
 
 
-@given(st.floats(0.01, 50.0), st.floats(0.01, 50.0))
+# rounding slack: a few ulps relative to the magnitudes of the compared terms
+TOL = 4 * np.finfo(float).eps
+LOG10 = st.floats(-8.0, 14.0)
+U_VALUES = LOG10.map(lambda e: 10.0**e)
+GROWTHS = st.one_of(
+    st.builds(lambda m, a: BevertonHoltGrowth(m=10.0**m, a=10.0**a), LOG10, LOG10),
+    st.builds(lambda p: LinearGrowth(p=10.0**p), LOG10),
+)
+IMPULSES = st.one_of(
+    st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+    .map(lambda e: (10.0 ** e[0], 10.0 ** e[1]))
+    .filter(lambda cb: cb[0] < cb[1])
+    .map(lambda cb: SaturatingImpulse(c=cb[0], b=cb[1])),
+    st.builds(LinearImpulse, rho=st.floats(1e-8, 1.0)),
+    st.just(IdentityImpulse()),
+)
+
+
+@given(GROWTHS, U_VALUES, U_VALUES)
+@example(BevertonHoltGrowth(m=1e14, a=1e8), 1e-8, 1e14)
 @settings(max_examples=200, deadline=None)
-def test_growth_ratio_nonincreasing(u1, u2):
-    # f(u)/u never increases; strictly decreasing for the saturating family
+def test_growth_ratio_nonincreasing(f, u1, u2):
+    # A2 holds by construction: f(u)/u never increases, for members across the
+    # families' range; strictly decreasing for the saturating family
     lo, hi = sorted((u1, u2))
-    for f in (BevertonHoltGrowth(m=2.0, a=3.0), LinearGrowth(p=0.7)):
-        assert f(lo) / lo >= f(hi) / hi - 1e-15
-    if hi > lo:
+    assert f(lo) / lo >= f(hi) / hi * (1 - TOL)
+    if hi > 2 * lo:
         bh = BevertonHoltGrowth(m=2.0, a=3.0)
         assert bh(lo) / lo > bh(hi) / hi
 
 
-@given(st.floats(1e-6, 100.0))
+@given(IMPULSES, U_VALUES)
 @settings(max_examples=200, deadline=None)
-def test_impulse_bounded_by_identity(u):
-    for G in (LinearImpulse(rho=0.4), SaturatingImpulse(c=0.5, b=10.0)):
-        assert 0.0 < G(u) / u < 1.0
-    s = SaturatingImpulse(c=0.5, b=10.0)
-    assert s(u) / u > s(2 * u) / (2 * u)
+def test_impulse_bounded_by_identity(G, u):
+    # A3 holds by construction: 0 < G(u) <= u, G non-decreasing, G(u)/u non-increasing
+    assert 0.0 < G(u) <= u * (1 + TOL)
+    assert G(u) <= G(2 * u) * (1 + TOL)
+    assert G(u) / u >= G(2 * u) / (2 * u) * (1 - TOL)
+    for strict in (LinearImpulse(rho=0.4), SaturatingImpulse(c=0.5, b=10.0)):
+        assert strict(u) / u < 1.0
 
 
-def test_quadratic_lower_bound_on_grid():
-    us = np.linspace(0.1, 100.0, 1000)
-    bh = BevertonHoltGrowth(m=1.0, a=10.0)
-    H, kappa = bh.lower_bound_constants()
-    assert np.all(bh(us) - (bh.slope_at_zero * us - H * us**kappa) >= 0)
-    sat = SaturatingImpulse(c=0.5, b=10.0)
-    H2, kappa2 = sat.lower_bound_constants()
-    assert np.all(sat(us) - (sat.slope_at_zero * us - H2 * us**kappa2) >= 0)
+@given(st.one_of(GROWTHS, IMPULSES))
+@example(BevertonHoltGrowth(m=1e14, a=1e8))
+@settings(max_examples=200, deadline=None)
+def test_quadratic_lower_bound_on_grid(fn):
+    # A4 holds by construction: rho(u) >= rho'(0)u - H u^kappa with the closed-form H
+    us = np.logspace(-8.0, 14.0, 221)
+    H, kappa = fn.lower_bound_constants()
+    assert 0 < H < np.inf
+    values, linear, quadratic = fn(us), fn.slope_at_zero * us, H * us**kappa
+    assert np.all(values - (linear - quadratic) >= -TOL * (values + linear + quadratic))
 
 
 def test_validate_benchmark_passes(params_benchmark, params_disinfected, init_cos):
@@ -110,6 +140,9 @@ def test_validate_benchmark_passes(params_benchmark, params_disinfected, init_co
     assert not report.failures()
     labels = [c.label for c in report.checks]
     assert any("A1" in l for l in labels) and any("A4" in l for l in labels)
+    # the impulse shape is a fact of its family, not of samples
+    a3 = [c for c in report.checks if c.label.startswith("A3")][0]
+    assert a3.passed and a3.detail == "0 < G(u) < u and G non-decreasing"
 
 
 def test_validate_flags_bad_asymptotic_slope(init_cos):
@@ -151,6 +184,13 @@ def test_initial_data_families():
     scaled = init.scaled(1.5, 1.5)
     us, vs = scaled.sample(np.array([0.0]))
     assert us[0] == pytest.approx(0.45) and vs[0] == pytest.approx(0.15)
+
+
+@pytest.mark.parametrize("amps", [(np.nan, 0.1), (0.3, np.inf), (0.0, 0.1), (0.3, -1.0)])
+def test_cos_quarter_rejects_bad_amplitudes(amps):
+    # nan and inf used to pass the sign test and end in a non-finite run
+    with pytest.raises(ConfigurationError, match="finite and positive"):
+        InitialData.cos_quarter(2.0, *amps)
 
 
 @pytest.mark.parametrize("column", ["x", "u", "v"])
