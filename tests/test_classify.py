@@ -275,7 +275,7 @@ def test_mu_threshold_degenerate_bracket(init_cos):
 
 @pytest.mark.parametrize("bracket", [(1.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)])
 def test_mu_threshold_nonfinite_bracket(init_cos, bracket):
-    # the end is named; an infinite one used to pass as a float spacing of inf, blaming tol
+    # a non-finite bracket end is named, not blamed on tol
     cfg = SolverConfig(n=64, steps_per_period=100)
     with pytest.raises(PreconditionError, match="bracket ends must be finite"):
         find_mu_threshold(base_params_cd(1.0), init_cos, cfg, bracket, 0.5)

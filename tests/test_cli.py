@@ -305,8 +305,12 @@ def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
         # the monodromy matrix rounds to I; then dt = tau / 10 rounds to 0
         (["sweep", "--axis", "tau", "--values", "5e-324"], {}, 2),
         (["simulate", "--t-end", "1e-10"], {}, 4),  # below one step of dt = 0.5
-        # the shapes of A2-A4 are the families' own: no sampled check trips on rounding
+        # the shapes of A2-A4 are the families' own, whatever the magnitudes of their
+        # constants: validate passes m = 1e307 and c = 1e307, though m*u and c*u
+        # overflow once u exceeds about 18
         (["validate"], {"growth": {"kind": "beverton-holt", "m": 1e14, "a": 1e8}}, 0),
+        (["validate"], {"growth": {"kind": "beverton-holt", "m": 1e307, "a": 1e10}}, 0),
+        (["validate"], {"impulse": {"kind": "saturating", "c": 1e307, "b": 1e308}}, 0),
         # f'(0) = m/a and G'(0) = c/b round to 0: the constructors refuse them
         (["validate"], {"growth": {"kind": "beverton-holt", "m": 5e-324, "a": 2.0}}, 2),
         (["validate"], {"impulse": {"kind": "saturating", "c": 5e-324, "b": 2.0}}, 2),

@@ -98,16 +98,21 @@ IMPULSES = st.one_of(
 )
 
 
-@given(GROWTHS, U_VALUES, U_VALUES)
-@example(BevertonHoltGrowth(m=1e14, a=1e8), 1e-8, 1e14)
+@given(GROWTHS, U_VALUES, U_VALUES, st.floats(0.01, 50.0), st.floats(0.01, 50.0))
+@example(BevertonHoltGrowth(m=1e14, a=1e8), 1e-8, 1e14, 0.01, 50.0)
 @settings(max_examples=200, deadline=None)
-def test_growth_ratio_nonincreasing(f, u1, u2):
+def test_growth_ratio_nonincreasing(f, u1, u2, w1, w2):
     # A2 holds by construction: f(u)/u never increases, for members across the
-    # families' range; strictly decreasing for the saturating family
+    # families' range
     lo, hi = sorted((u1, u2))
     assert f(lo) / lo >= f(hi) / hi * (1 - TOL)
+    # strictly decreasing for the saturating family: every pair on [0.01, 50],
+    # and pairs a factor 2 apart across the whole range
+    bh = BevertonHoltGrowth(m=2.0, a=3.0)
+    w_lo, w_hi = sorted((w1, w2))
+    if w_hi > w_lo:
+        assert bh(w_lo) / w_lo > bh(w_hi) / w_hi
     if hi > 2 * lo:
-        bh = BevertonHoltGrowth(m=2.0, a=3.0)
         assert bh(lo) / lo > bh(hi) / hi
 
 
@@ -120,6 +125,8 @@ def test_impulse_bounded_by_identity(G, u):
     assert G(u) / u >= G(2 * u) / (2 * u) * (1 - TOL)
     for strict in (LinearImpulse(rho=0.4), SaturatingImpulse(c=0.5, b=10.0)):
         assert strict(u) / u < 1.0
+    s = SaturatingImpulse(c=0.5, b=10.0)
+    assert s(u) / u > s(2 * u) / (2 * u)
 
 
 @given(st.one_of(GROWTHS, IMPULSES))
@@ -132,6 +139,11 @@ def test_quadratic_lower_bound_on_grid(fn):
     assert 0 < H < np.inf
     values, linear, quadratic = fn(us), fn.slope_at_zero * us, H * us**kappa
     assert np.all(values - (linear - quadratic) >= -TOL * (values + linear + quadratic))
+    # no slack on the fixed members over [0.1, 100]
+    grid = np.linspace(0.1, 100.0, 1000)
+    for member in (BevertonHoltGrowth(m=1.0, a=10.0), SaturatingImpulse(c=0.5, b=10.0)):
+        H, kappa = member.lower_bound_constants()
+        assert np.all(member(grid) - (member.slope_at_zero * grid - H * grid**kappa) >= 0)
 
 
 def test_validate_benchmark_passes(params_benchmark, params_disinfected, init_cos):
@@ -188,7 +200,7 @@ def test_initial_data_families():
 
 @pytest.mark.parametrize("amps", [(np.nan, 0.1), (0.3, np.inf), (0.0, 0.1), (0.3, -1.0)])
 def test_cos_quarter_rejects_bad_amplitudes(amps):
-    # nan and inf used to pass the sign test and end in a non-finite run
+    # amplitudes that are not finite and positive are refused at construction
     with pytest.raises(ConfigurationError, match="finite and positive"):
         InitialData.cos_quarter(2.0, *amps)
 
