@@ -275,9 +275,10 @@ def _probe(
 ) -> Verdict:
     """Simulate and classify; one doubling of the horizon on Undecided.
 
-    The run advances one period at a time.  It stops as soon as the spreading
-    condition holds, which no later step can undo, or as soon as a period end
-    carries a vanishing certificate built from ``upper``.  An Undecided run
+    The run advances one period at a time.  It stops at the first step at
+    which the spreading condition holds, which no later step can undo, or as
+    soon as a period end carries a vanishing certificate built from
+    ``upper``.  An Undecided run
     at ``t_end`` continues the same trajectory to ``2 * t_end``: its records
     are bit-identical to a fresh run of that length.
     """
@@ -290,7 +291,7 @@ def _probe(
         the certificate and, unless certified, the classified records."""
         reason = "horizon"
         while traj.step < horizon:
-            traj.advance(min(horizon, (traj.step // m + 1) * m))
+            traj.advance(min(horizon, (traj.step // m + 1) * m), analytic.critical_length)
             if _spreads(traj.series(), analytic.critical_length):
                 reason = "spreading"
                 break

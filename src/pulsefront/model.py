@@ -458,4 +458,12 @@ def density_bounds(params: ModelParams, init: InitialData | None = None) -> tupl
         m_init = max(float(np.max(u0)), (params.a12 + eps) / params.a11 * float(np.max(v0)))
 
     M = 1.1 * max(m_shape, m_init, 1.0)
+    # u <= M for all time and the numerators m*u, c*u, p*u, rho*u are
+    # monotone: finite at M, f and G stay finite along the whole run
+    for role, fn in (("growth", params.growth), ("impulse", params.impulse)):
+        if not math.isfinite(fn(M)):
+            constants = ", ".join(f"{f.name}={getattr(fn, f.name):g}" for f in fields(fn))
+            raise ConfigurationError(
+                f"{fn.kind} {role} ({constants}) overflows at the density bound C2={M:.6g}"
+            )
     return M, params.a11 * M / (params.a12 + eps)

@@ -11,8 +11,10 @@ the current profiles (the accuracy bottleneck of the whole scheme), the
 fronts advance by Heun, and the densities then take an IMEX step:
 diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv), advection
 and reactions explicit.  The densities are one (2, n+1) array w (rows U, V)
-that one block-diagonal dptsv call advances.  Disinfection resets u <- G(u)
-pointwise at every multiple of tau; the k = 0 reset at t = 0+ is applied too.
+that one block-diagonal dptsv call advances.  A trajectory builds the
+kernel's constants and buffers once, in a workspace, so a step allocates
+little beyond the state it keeps.  Disinfection resets u <- G(u) pointwise
+at every multiple of tau; the k = 0 reset at t = 0+ is applied too.
 
 Runs are deterministic: identical inputs give bit-identical outputs.
 """
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs, dptsv
@@ -92,9 +93,10 @@ class TimeSeries:
 
 
 def _front_velocities(
-    w: np.ndarray, width: float, dxi: float, mu1: float, mu2: float
+    rows: np.ndarray, width: float, dxi: float, mu1: float, mu2: float
 ) -> tuple[float, float]:
-    """Stefan speeds from one-sided three-point gradients; boundary values are zero.
+    """Stefan speeds from one-sided three-point gradients of the interior rows
+    (u, v), shape (2, n-1); the boundary values are zero.
 
     The continuous model keeps h' > 0 and g' < 0 strictly; stencil noise of a
     nearly flat profile can flip the sign by a roundoff-scale amount, so the
@@ -102,100 +104,125 @@ def _front_velocities(
     gives Python floats, which round as NumPy scalars do but overflow to inf
     without a warning; the stability guard then rejects the step.
     """
-    du_right = (w.item(0, -3) - 4.0 * w.item(0, -2)) / (2.0 * dxi)
-    dv_right = (w.item(1, -3) - 4.0 * w.item(1, -2)) / (2.0 * dxi)
-    du_left = (4.0 * w.item(0, 1) - w.item(0, 2)) / (2.0 * dxi)
-    dv_left = (4.0 * w.item(1, 1) - w.item(1, 2)) / (2.0 * dxi)
+    du_right = (rows.item(0, -2) - 4.0 * rows.item(0, -1)) / (2.0 * dxi)
+    dv_right = (rows.item(1, -2) - 4.0 * rows.item(1, -1)) / (2.0 * dxi)
+    du_left = (4.0 * rows.item(0, 0) - rows.item(0, 1)) / (2.0 * dxi)
+    dv_left = (4.0 * rows.item(1, 0) - rows.item(1, 1)) / (2.0 * dxi)
     vel_h = -(mu1 * du_right + mu2 * dv_right) / width
     vel_g = -(mu1 * du_left + mu2 * dv_left) / width
     return min(vel_g, 0.0), max(vel_h, 0.0)
 
 
+class _Workspace:
+    """The constants and buffers of the density kernel for one coefficient set,
+    dt and grid of n intervals, built once per trajectory (or per frozen map).
+
+    ``start(w)`` forms the explicit terms of a start state w: its interior
+    rows, central differences and dt-scaled reactions.  Each stage then writes
+    its advection coefficients, matrix and right-hand side into the buffers and
+    solves in place, so a stage's solution lives in ``rhs`` until the next
+    stage overwrites it.
+    """
+
+    def __init__(self, params: ModelParams, dt: float, n: int, dxi: float):
+        m = n - 1
+        self.params, self.dt, self.m = params, dt, m
+        self.xi = np.arange(1, n) * dxi  # interior nodes
+        self.dt_a12 = dt * params.a12
+        self.decay = np.array([[dt * params.a11], [params.a22]])
+        mat = np.empty(4 * m - 1)  # the diagonal, then the off-diagonal, of both blocks
+        self.diag, self.off = mat[: 2 * m], mat[2 * m :]
+        self.blocks = mat[:m], mat[m : 2 * m], mat[2 * m : 3 * m - 1], mat[3 * m :]
+        self.diff, self.react = np.empty((2, m)), np.empty((2, m))
+        self.adv, self.rhs = np.empty(m), np.empty(2 * m)
+        self.rhs_rows = self.rhs.reshape(2, m)
+
+    def start(self, w: np.ndarray) -> _Workspace:
+        """Form the explicit terms of the (2, n+1) start state w."""
+        self.rows = w[:, 1:-1]
+        np.subtract(w[:, 2:], w[:, :-2], out=self.diff)
+        self.reactions(self.rows, self.react)
+        return self
+
+    def reactions(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The dt-scaled reactions (dt a12 v - dt a11 u, dt (f(u) - a22 v)) of the
+        interior rows x = (u, v), bit for bit, written to ``out``."""
+        np.multiply(self.dt_a12, x[1], out[0])
+        out[1] = self.params.growth(x[0])
+        out -= x * self.decay
+        out[1] *= self.dt
+        return out
+
+    def matrix(self, diffusion: float) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal 1 + 2r and off-diagonal -r of the block SPD matrix, r = diffusion * d
+        per species, filled into the reused buffer (LAPACK overwrites it).  The entries are
+        Python floats, which overflow to inf without a warning."""
+        diag_u, diag_v, off_u, off_v = self.blocks
+        r_u, r_v = diffusion * self.params.d1, diffusion * self.params.d2
+        diag_u.fill(1.0 + 2.0 * r_u)
+        diag_v.fill(1.0 + 2.0 * r_v)
+        off_u.fill(-r_u)
+        self.off[self.m - 1] = 0.0  # the block coupling
+        off_v.fill(-r_v)
+        return self.diag, self.off
+
+
 def imex_density_step(
     w: np.ndarray, params: ModelParams, dt: float, dxi: float, width_new: float,
-    vel_g: float = 0.0, vel_h: float = 0.0, terms: tuple[np.ndarray, np.ndarray] | None = None,
+    vel_g: float = 0.0, vel_h: float = 0.0, work: _Workspace | None = None,
 ) -> np.ndarray:
-    """One IMEX update of the (2, n+1) densities: the explicit ``terms`` of the start
-    state w (formed here unless a caller passes them), then the stage solve.
+    """One IMEX update of the (2, n+1) densities w: the explicit terms of the
+    start state w, then the stage solve.  Returns the new (2, n+1) densities.
 
-    ``vel_g``/``vel_h`` are the discrete mesh velocities over the step; pass
-    zeros for a fixed interval.  Both species are solved in one dptsv call on
-    the block-diagonal system: the zero coupling entry between the blocks
-    leaves the next pivot untouched and subtracts only products with zero, so
-    the result equals two separate solves (up to the sign of a zero).
+    ``transform_step`` passes its workspace ``work`` of params, dt and dxi,
+    started on w, and gets the solved interior rows (2, n-1) in the
+    workspace's buffer.  ``vel_g``/``vel_h`` are the discrete mesh velocities
+    over the step; pass zeros for a fixed interval.  Both species are solved in
+    one dptsv call on the block-diagonal system: the zero coupling entry
+    between the blocks leaves the next pivot untouched and subtracts only
+    products with zero, so the result equals two separate solves (up to the
+    sign of a zero).
     """
-    n = w.shape[1] - 1
-    diff, react = terms or _start_terms(w, params, dt)
+    own = work is None
+    if own:
+        work = _Workspace(params, dt, w.shape[1] - 1, dxi).start(w)
     # in place, and in an order whose bits equal
     # w + (dt / (2 dxi W)) * (vel_g + xi * (vel_h - vel_g)) * diff + react
-    adv = _interior_xi(n, dxi) * (vel_h - vel_g)
+    adv = np.multiply(work.xi, vel_h - vel_g, out=work.adv)
     adv += vel_g
     adv *= dt / (2.0 * dxi * width_new)
-    rhs = adv * diff
-    rhs += w[:, 1:-1]
-    rhs += react
-    diag, off, r_u, r_v = _stage_matrix(params, dt, dxi, width_new, n - 1)
-    _, _, interior, info = dptsv(diag, off, rhs.ravel(), 1, 1, 1)  # overwrite d, e and b
+    rhs = np.multiply(adv, work.diff, out=work.rhs_rows)
+    rhs += work.rows
+    rhs += work.react
+    diffusion = dt / (width_new * width_new * dxi * dxi)
+    diag, off = work.matrix(diffusion)
+    _, _, interior, info = dptsv(diag, off, work.rhs, 1, 1, 1)  # overwrite d, e and b
     if info != 0:
-        name, r = ("u", r_u) if info <= n - 1 else ("v", r_v)
+        name, d = ("u", params.d1) if info <= work.m else ("v", params.d2)
+        r = diffusion * d
         raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
-    return _padded(_guarded(w, interior))
+    interior = _guarded(w, interior).reshape(2, -1)
+    return _padded(interior) if own else interior
 
 
 def frozen_step(params: ModelParams, dt: float, width: float, n: int):
     """``imex_density_step(w, params, dt, 1/n, width)`` on the interior vector z of w (u then v),
     bit for bit: the matrix is factored once (dpttrf), and ``step(z, out)`` skips the advection
     term, whose velocities are 0, and solves z + dt * reactions in the buffer ``out`` (dpttrs)."""
-    diag, off, _, _ = _stage_matrix(params, dt, 1.0 / n, width, n - 1)
+    dxi = 1.0 / n
+    work = _Workspace(params, dt, n, dxi)
+    diag, off = work.matrix(dt / (width * width * dxi * dxi))
     diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
-    constants = _reaction_constants(dt, params.a11, params.a12, params.a22)
 
     def step(z: np.ndarray, out: np.ndarray) -> np.ndarray:
         rows = z.reshape(2, -1)
-        _reactions(rows, params, dt, constants, out.reshape(2, -1))
+        work.reactions(rows, out.reshape(2, -1))
         out += z  # addition commutes: the bits of z + reactions
         return _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0])
 
     return step
-
-
-def _start_terms(w: np.ndarray, params: ModelParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit terms of the start state w: central differences and dt-scaled reactions."""
-    constants = _reaction_constants(dt, params.a11, params.a12, params.a22)
-    return w[:, 2:] - w[:, :-2], _reactions(w[:, 1:-1], params, dt, constants)
-
-
-@lru_cache(maxsize=8)
-def _reaction_constants(dt: float, a11: float, a12: float, a22: float) -> tuple[float, np.ndarray]:
-    """dt * a12 and the decay column [[dt * a11], [a22]] of ``_reactions``, shared read-only."""
-    decay = np.array([[dt * a11], [a22]])
-    decay.flags.writeable = False
-    return dt * a12, decay
-
-
-def _reactions(x: np.ndarray, params: ModelParams, dt: float, constants, out: np.ndarray | None = None):
-    """The dt-scaled reactions (dt a12 v - dt a11 u, dt (f(u) - a22 v)) of the interior rows
-    x = (u, v), bit for bit, written to ``out`` (new if None); ``constants`` are
-    ``_reaction_constants`` of dt and the coefficients."""
-    dt_a12, decay = constants
-    out = np.empty(x.shape) if out is None else out
-    np.multiply(dt_a12, x[1], out[0])
-    out[1] = params.growth(x[0])
-    out -= x * decay
-    out[1] *= dt
-    return out
-
-
-def _stage_matrix(params: ModelParams, dt: float, dxi: float, width: float, m: int):
-    """Diagonal, off-diagonal, r_u and r_v of the block SPD matrix on m interior nodes."""
-    diffusion = dt / (width * width * dxi * dxi)
-    r_u, r_v = diffusion * params.d1, diffusion * params.d2
-    diag, off = np.empty(2 * m), np.empty(2 * m - 1)  # LAPACK overwrites both
-    diag[:m], diag[m:] = 1.0 + 2.0 * r_u, 1.0 + 2.0 * r_v
-    off[: m - 1], off[m - 1], off[m:] = -r_u, 0.0, -r_v
-    return diag, off, r_u, r_v
 
 
 def _guarded(w: np.ndarray, interior: np.ndarray) -> np.ndarray:
@@ -225,13 +252,6 @@ def _padded(interior: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _interior_xi(n: int, dxi: float) -> np.ndarray:
-    xi = np.arange(1, n) * dxi  # interior nodes, shared by every step
-    xi.flags.writeable = False
-    return xi
-
-
 def _stability_guard(params: ModelParams, cfg: SolverConfig, dt: float, vmax: float, width: float):
     # explicit central advection under implicit diffusion is von Neumann
     # stable when courant^2 <= 2 * diffusion number, i.e. dt*vmax^2 <= 2*min(d)
@@ -246,17 +266,22 @@ def _stability_guard(params: ModelParams, cfg: SolverConfig, dt: float, vmax: fl
 
 
 def transform_step(
-    g: float, h: float, w: np.ndarray, params: ModelParams, cfg: SolverConfig, dt: float
+    g: float, h: float, w: np.ndarray, params: ModelParams, cfg: SolverConfig, dt: float,
+    work: _Workspace | None = None,
 ) -> tuple[float, float, np.ndarray]:
     """Advance the fronts g, h and the densities w by one step: front speeds,
-    Heun front update, then the density update.  Returns (g1, h1, w1)."""
+    Heun front update, then the density update.  Returns (g1, h1, w1).
+    ``work`` is a workspace of params, dt and cfg's grid to reuse; a
+    ``Trajectory`` passes its own, and one is built when it is None."""
     dxi = cfg.dxi
-    vg0, vh0 = _front_velocities(w, h - g, dxi, params.mu1, params.mu2)
+    if work is None:
+        work = _Workspace(params, dt, cfg.n, dxi)
+    vg0, vh0 = _front_velocities(w[:, 1:-1], h - g, dxi, params.mu1, params.mu2)
     _stability_guard(params, cfg, dt, max(-vg0, vh0), h - g)
 
     g1, h1 = g + dt * vg0, h + dt * vh0
-    terms = _start_terms(w, params, dt)  # both stages start from w
-    wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, terms)
+    work.start(w)  # both stages start from w
+    wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, work)
     vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
     g1 = g + 0.5 * dt * (vg0 + vg1)
     h1 = h + 0.5 * dt * (vh0 + vh1)
@@ -264,7 +289,7 @@ def transform_step(
     vg = (g1 - g) / dt
     vh = (h1 - h) / dt
     _stability_guard(params, cfg, dt, max(-vg, vh), h1 - g1)
-    return g1, h1, imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh, terms)
+    return g1, h1, _padded(imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh, work))
 
 
 def apply_impulse(w: np.ndarray, params: ModelParams) -> None:
@@ -309,6 +334,7 @@ class Trajectory:
         try:
             self._xi = cfg.xi
             self.w = np.array(init.sample(-params.h0 + self._xi * (2.0 * params.h0)))
+            self._work = _Workspace(params, self.dt, cfg.n, cfg.dxi)
         except MemoryError:
             raise ConfigurationError(f"n={cfg.n} nodes are more than memory can hold") from None
         if np.any(self.w < 0):
@@ -345,8 +371,9 @@ class Trajectory:
             x = self.g + self._xi * (self.h - self.g)
             self._snaps.append(Snapshot(t=i * dt, x=x, u=w[0].copy(), v=w[1].copy()))
 
-    def advance(self, to_step: int) -> None:
-        """Integrate from the current step up to step ``to_step``."""
+    def advance(self, to_step: int, stop_width: float = math.inf) -> None:
+        """Integrate from the current step up to step ``to_step``, or to the
+        first step after which the width h - g exceeds ``stop_width``."""
         if to_step >= self._rec.shape[1]:
             # at least double: a run resumed period by period copies its records
             # a few times, not once per period
@@ -354,11 +381,11 @@ class Trajectory:
             grown[:, : self.step + 1] = self._rec[:, : self.step + 1]
             self._rec = grown
         params, cfg, dt, m = self.params, self.cfg, self.dt, self.cfg.steps_per_period
-        rec = self._rec
+        rec, work = self._rec, self._work
         while self.step < to_step:
             if self.step % m == 0:
                 apply_impulse(self.w, params)
-            self.g, self.h, self.w = transform_step(self.g, self.h, self.w, params, cfg, dt)
+            self.g, self.h, self.w = transform_step(self.g, self.h, self.w, params, cfg, dt, work)
             self.step += 1
             self._record()
             i = self.step
@@ -368,6 +395,8 @@ class Trajectory:
                     f"sup_u={rec[3, i]:.6g} (C2={self.c2:.6g}), "
                     f"sup_v={rec[4, i]:.6g} (C3={self.c3:.6g})"
                 )
+            if self.h - self.g > stop_width:
+                break
 
     def series(self) -> TimeSeries:
         """The records up to the current step; later steps leave them as they are."""

@@ -217,7 +217,7 @@ def test_threshold_search_computes_critical_length_once(params_benchmark, init_c
         def steps_to(self, t_end):
             return round(t_end / self.dt)
 
-        def advance(self, to_step):
+        def advance(self, to_step, stop_width=math.inf):
             self.step = max(self.step, to_step)
 
         @property
@@ -394,8 +394,16 @@ def test_spreading_probe_stops_before_horizon(monkeypatch):
     (evidence,) = evidences
     assert evidence["t_end"] < 200.0
     assert evidence["final_width"] > evidence["spread_trigger_width"]
-    # stopped at the first period end where the condition held
-    assert steps % 25 == 0 and steps == round(evidence["t_end"] / 0.2) < n1
+    assert steps == round(evidence["t_end"] / 0.2) < n1
+    # stopped at the first step whose record meets the spreading condition,
+    # not at the period end after it
+    import pulsefront.classify as classify
+
+    series = run(base_params_cd(10.0), InitialData.cos_quarter(2.0, 0.3, 0.1),
+                 SolverConfig(n=32, steps_per_period=25), steps * 0.2)
+    holds = (series.width > evidence["spread_trigger_width"]) & (
+        series.sup_u + series.sup_v > classify.EPS_SPREAD)
+    assert series.t.size == steps + 1 and holds[-1] and not holds[:-1].any()
 
 
 def test_undecided_probe_resumes_its_trajectory(monkeypatch, caplog):

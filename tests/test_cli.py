@@ -324,6 +324,25 @@ def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, model, code):
     _assert_clean_exit(tmp_path, capsys, doc, argv, code)
 
 
+@pytest.mark.parametrize(("c", "code"), [(1e307, 2), (1e306, 0)])
+def test_cli_impulse_overflow_below_the_density_bound(tmp_path, capsys, c, code):
+    # amp_u = 30 gives C2 = 33, and u never exceeds C2: c*u overflows below it
+    # for c = 1e307, where the run would meet a non-finite u at the first reset
+    doc = small_config_dict(n=16, steps=10, mu1=0.1, mu2=1.0,
+                            impulse={"kind": "saturating", "c": c, "b": 1e308})
+    doc["init"]["amp_u"] = 30.0
+    doc["run"]["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("configuration error: saturating impulse (c=1e+307, b=1e+308) "
+                       "overflows at the density bound C2=33\n")
+    else:
+        assert err == ""
+
+
 def _assert_clean_exit(tmp_path, capsys, doc, argv, code):
     """The command exits with ``code``: silently on 0, else with one error line."""
     config = tmp_path / "run.json"

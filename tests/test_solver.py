@@ -335,27 +335,83 @@ def test_indefinite_diffusion_system_aborts(params_benchmark):
 
 
 def _heun_step_own_terms(g, h, w, params, cfg, dt):
-    """transform_step with each IMEX stage forming its own start-state terms."""
-    vg0, vh0 = solver._front_velocities(w, h - g, cfg.dxi, params.mu1, params.mu2)
+    """transform_step with each IMEX stage forming its own start-state terms and buffers."""
+    vg0, vh0 = solver._front_velocities(w[:, 1:-1], h - g, cfg.dxi, params.mu1, params.mu2)
     g1, h1 = g + dt * vg0, h + dt * vh0
     wp = imex_density_step(w, params, dt, cfg.dxi, h1 - g1, vg0, vh0)
-    vg1, vh1 = solver._front_velocities(wp, h1 - g1, cfg.dxi, params.mu1, params.mu2)
+    vg1, vh1 = solver._front_velocities(wp[:, 1:-1], h1 - g1, cfg.dxi, params.mu1, params.mu2)
     g1, h1 = g + 0.5 * dt * (vg0 + vg1), h + 0.5 * dt * (vh0 + vh1)
     return g1, h1, imex_density_step(w, params, dt, cfg.dxi, h1 - g1, (g1 - g) / dt, (h1 - h) / dt)
 
 
-@pytest.mark.parametrize("figure", ["fig-a", "fig-b", "fig-c", "fig-d"])
-def test_heun_stages_sharing_start_terms_are_bit_identical(figure):
-    # both stages start from w, so transform_step forms its explicit terms once
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    ("figure", "n", "steps_per_period", "k"),
+    [("fig-a", 128, 500, 302), ("fig-b", 128, 500, 302), ("fig-c", 128, 500, 302),
+     ("fig-d", 128, 500, 302), ("fig-b", 64, 100, 311)],
+    ids=["fig-a", "fig-b", "fig-c", "fig-d", "fig-b-saturating-resets"],
+)
+def test_heun_stages_sharing_start_terms_are_bit_identical(figure, n, steps_per_period, k):
+    # a trajectory steps through one workspace: both stages share the start
+    # terms, and every stage reuses the buffers of the one before; a loop of
+    # stages that each build their own must give the same records, bit for bit
     params = preset(figure).config.model
-    cfg = SolverConfig(n=128, steps_per_period=500)
+    cfg = SolverConfig(n=n, steps_per_period=steps_per_period)
     traj = Trajectory(params, InitialData.cos_quarter(params.h0, 0.3, 0.1), cfg, 5.0)
-    for k in (300, 301, 302):
-        traj.advance(k)
-        shared = transform_step(traj.g, traj.h, traj.w, params, cfg, traj.dt)
-        own = _heun_step_own_terms(traj.g, traj.h, traj.w, params, cfg, traj.dt)
-        assert shared[:2] == own[:2]
-        assert np.array_equal(shared[2].view(np.uint64), own[2].view(np.uint64))
+    g, h, w = traj.g, traj.h, traj.w.copy()
+    records = [(g, h, w[0].max(), w[1].max())]
+    for step in range(k):
+        if step % steps_per_period == 0:
+            apply_impulse(w, params)
+        g, h, w = _heun_step_own_terms(g, h, w, params, cfg, traj.dt)
+        records.append((g, h, w[0].max(), w[1].max()))
+    traj.advance(k)
+    series = traj.series()
+    got = np.array([series.g, series.h, series.sup_u, series.sup_v])
+    assert np.array_equal(_bits(got), _bits(np.array(records).T))
+    assert np.array_equal(_bits(traj.w), _bits(w))
+
+
+def test_kept_arrays_are_not_reused_buffers(params_disinfected, init_cos):
+    # the workspace's buffers are overwritten every stage; the records, the
+    # state and the snapshots a caller keeps must never be one of them
+    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=64, steps_per_period=100), 5.0,
+                      snapshot_times=(1.0,))
+    traj.advance(30)
+    series, w = traj.series(), traj.w
+    (snap,) = series.snapshots
+    kept = [series.t, series.g, series.h, series.sup_u, series.sup_v, w, snap.x, snap.u, snap.v]
+    copies = [a.copy() for a in kept]
+    traj.advance(250)
+    assert traj.w is not w
+    for a, b in zip(kept, copies):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_each_step_calls_the_traced_kernels(params_disinfected, init_cos, monkeypatch):
+    # the benchmark's per-layer spans wrap these module-level names: k steps
+    # of a trajectory are k transform_step and 2k imex_density_step calls
+    calls = {"transform_step": 0, "imex_density_step": 0}
+
+    def counted(name):
+        real = getattr(solver, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, wrapper)
+
+    counted("transform_step")
+    counted("imex_density_step")
+    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=32, steps_per_period=100), 5.0)
+    traj.advance(37)
+    assert calls == {"transform_step": 37, "imex_density_step": 74}
+    traj.advance(137)
+    assert calls == {"transform_step": 137, "imex_density_step": 274}
 
 
 def test_frozen_step_reports_an_indefinite_matrix(params_benchmark):
