@@ -278,12 +278,12 @@ def _probe(
     The run advances one period at a time.  It stops at the first step at
     which the spreading condition holds, which no later step can undo, or as
     soon as a period end carries a vanishing certificate built from
-    ``upper``.  An Undecided run
-    at ``t_end`` continues the same trajectory to ``2 * t_end``: its records
-    are bit-identical to a fresh run of that length.
+    ``upper``.  The trajectory is built for ``2 * t_end`` and classified at
+    ``t_end`` first; an Undecided run there continues the same trajectory to
+    its end, with records bit-identical to a fresh run of that length.
     """
     start = time.perf_counter()
-    traj = Trajectory(params, init, cfg, t_end)
+    traj = Trajectory(params, init, cfg, 2.0 * t_end)
     m = cfg.steps_per_period
 
     def run_to(horizon: int) -> tuple[str, dict | None, Classification | None]:
@@ -302,11 +302,11 @@ def _probe(
         outcome = detect_outcome(traj.series(), params, analytic=analytic)
         return reason, None, outcome
 
-    horizon = traj.n_steps
+    horizon = traj.steps_to(t_end)
     stop_reason, certificate, outcome = run_to(horizon)
     resumed = outcome is not None and outcome.verdict is Verdict.UNDECIDED
     if resumed:
-        horizon = traj.steps_to(2.0 * t_end)
+        horizon = traj.n_steps
         stop_reason, certificate, outcome = run_to(horizon)
     verdict = Verdict.VANISHING if outcome is None else outcome.verdict
     record = {

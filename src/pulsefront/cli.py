@@ -237,8 +237,8 @@ def _cmd_reproduce(args) -> int:
     series = result["series"]
     outcome = cls.detect_outcome(series, config.model)
     eigen_report = {
-        name: eigen.principal_eigenvalue_monodromy(config.model, length).to_json_dict()
-        for name, length in (("at_h0", 2.0 * config.model.h0), ("at_infinity", math.inf))
+        "at_h0": eigen.lambda_at_h0(config.model).to_json_dict(),
+        "at_infinity": eigen.lambda_infinity(config.model).to_json_dict(),
     }
     if ref.reference_lambda is not None:
         width, reported = ref.reference_lambda

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -331,21 +331,10 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed and not c.informational)
 
     def to_json_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "checks": [
-                {
-                    "label": c.label,
-                    "passed": c.passed,
-                    "informational": c.informational,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"all_pass": self.all_pass, "checks": [asdict(c) for c in self.checks]}
 
 
-def validate_assumptions(params: ModelParams, init: InitialData | None) -> ValidationReport:
+def validate_assumptions(params: ModelParams, init: InitialData) -> ValidationReport:
     """Check the admissibility conditions A1-A4 and report each one.
 
     The initial profiles are data, so A1 is sampled on VALIDATION_SAMPLES
@@ -358,27 +347,26 @@ def validate_assumptions(params: ModelParams, init: InitialData | None) -> Valid
     checks: list[AssumptionCheck] = []
 
     # A1: initial profiles vanish at the endpoints and are positive inside.
-    if init is not None:
-        xs = np.linspace(-params.h0, params.h0, VALIDATION_SAMPLES)
-        u0, v0 = init.sample(xs)
-        end_tol = 1e-9 * max(float(np.max(np.abs(u0))), float(np.max(np.abs(v0))), 1e-300)
-        ends_ok = (
-            abs(float(u0[0])) <= end_tol
-            and abs(float(u0[-1])) <= end_tol
-            and abs(float(v0[0])) <= end_tol
-            and abs(float(v0[-1])) <= end_tol
+    xs = np.linspace(-params.h0, params.h0, VALIDATION_SAMPLES)
+    u0, v0 = init.sample(xs)
+    end_tol = 1e-9 * max(float(np.max(np.abs(u0))), float(np.max(np.abs(v0))), 1e-300)
+    ends_ok = (
+        abs(float(u0[0])) <= end_tol
+        and abs(float(u0[-1])) <= end_tol
+        and abs(float(v0[0])) <= end_tol
+        and abs(float(v0[-1])) <= end_tol
+    )
+    interior_ok = bool(np.all(u0[1:-1] > 0) and np.all(v0[1:-1] > 0))
+    checks.append(
+        AssumptionCheck(
+            "A1: initial data",
+            ends_ok and interior_ok,
+            False,
+            "u0, v0 vanish at +-h0 and are positive inside"
+            if ends_ok and interior_ok
+            else "endpoint zeros or interior positivity violated",
         )
-        interior_ok = bool(np.all(u0[1:-1] > 0) and np.all(v0[1:-1] > 0))
-        checks.append(
-            AssumptionCheck(
-                "A1: initial data",
-                ends_ok and interior_ok,
-                False,
-                "u0, v0 vanish at +-h0 and are positive inside"
-                if ends_ok and interior_ok
-                else "endpoint zeros or interior positivity violated",
-            )
-        )
+    )
 
     # A2: the asymptotic slope margin; f(0) = 0 < f'(0) and a non-increasing
     # f(u)/u hold by construction
@@ -421,12 +409,13 @@ def validate_assumptions(params: ModelParams, init: InitialData | None) -> Valid
     return ValidationReport(checks=tuple(checks))
 
 
-def density_bounds(params: ModelParams, init: InitialData | None = None) -> tuple[float, float]:
+def density_bounds(params: ModelParams, densities: np.ndarray | None = None) -> tuple[float, float]:
     """Uniform supersolution constants (C2, C3) dominating (u, v) for all time.
 
     Built from the decoupled balance f(M) < a11*a22/(a12+eps)*M with a margin;
     requires the asymptotic slope condition, otherwise no uniform bound exists.
-    When ``init`` is given the constants also dominate the initial data.
+    When the initial ``densities`` (rows u, v on the run's nodes) are given,
+    the constants also dominate them.
     """
     slope_inf = params.growth.slope_at_infinity
     cap = params.a11 * params.a22 / params.a12
@@ -452,9 +441,8 @@ def density_bounds(params: ModelParams, init: InitialData | None = None) -> tupl
         raise ConfigurationError("growth slope exceeds the sustainable decay balance")
 
     m_init = 0.0
-    if init is not None:
-        xs = np.linspace(-params.h0, params.h0, 513)
-        u0, v0 = init.sample(xs)
+    if densities is not None:
+        u0, v0 = densities
         m_init = max(float(np.max(u0)), (params.a12 + eps) / params.a11 * float(np.max(v0)))
 
     M = 1.1 * max(m_shape, m_init, 1.0)

@@ -81,37 +81,18 @@ def _config(params: ModelParams, t_end: float, n_snapshots: int = 81) -> RunConf
     )
 
 
+# figure -> (coefficients, expected verdict, reference eigenvalue), in fig-a..d order
+_SCENARIOS = {
+    "fig-a": (base_params_a(), "Spreading", (300.0, -0.012)),
+    "fig-b": (_params(15.0, SaturatingImpulse(c=0.5, b=10.0)), "Vanishing", None),
+    "fig-c": (base_params_cd(1.0), "Vanishing", None),
+    "fig-d": (base_params_cd(10.0), "Spreading", (18.0, -0.002)),
+}
+FIGURES = tuple(_SCENARIOS)
+
+
 def preset(figure: str) -> FigurePreset:
-    t_end = 200.0  # 40 disinfection periods
-    if figure == "fig-a":
-        return FigurePreset(
-            figure=figure,
-            config=_config(base_params_a(), t_end),
-            expected_verdict="Spreading",
-            reference_lambda=(300.0, -0.012),
-        )
-    if figure == "fig-b":
-        return FigurePreset(
-            figure=figure,
-            config=_config(_params(15.0, SaturatingImpulse(c=0.5, b=10.0)), t_end),
-            expected_verdict="Vanishing",
-            reference_lambda=None,
-        )
-    if figure == "fig-c":
-        return FigurePreset(
-            figure=figure,
-            config=_config(base_params_cd(1.0), t_end),
-            expected_verdict="Vanishing",
-            reference_lambda=None,
-        )
-    if figure == "fig-d":
-        return FigurePreset(
-            figure=figure,
-            config=_config(base_params_cd(10.0), t_end),
-            expected_verdict="Spreading",
-            reference_lambda=(18.0, -0.002),
-        )
-    raise ValueError(f"unknown figure {figure!r}; expected one of {', '.join(FIGURES)}")
-
-
-FIGURES = ("fig-a", "fig-b", "fig-c", "fig-d")
+    if figure not in _SCENARIOS:
+        raise ValueError(f"unknown figure {figure!r}; expected one of {', '.join(FIGURES)}")
+    params, verdict, reference = _SCENARIOS[figure]
+    return FigurePreset(figure, _config(params, t_end=200.0), verdict, reference)  # 40 periods

@@ -310,8 +310,8 @@ class Trajectory:
     the uniform supersolution constants derived from the coefficients.
 
     The state is the fronts ``g``, ``h`` and the (2, n+1) densities ``w``
-    (rows u, v).  ``t_end`` sizes the record arrays and sets ``n_steps``;
-    advancing beyond it grows them to at least twice their length.
+    (rows u, v).  ``t_end`` sets ``n_steps``, the fixed length of the records;
+    the density bounds also dominate ``w`` as sampled on the n+1 nodes.
     """
 
     def __init__(
@@ -330,13 +330,13 @@ class Trajectory:
             raise ConfigurationError(
                 f"tau={params.tau:g} / steps_per_period={cfg.steps_per_period} rounds to dt=0"
             )
-        self.c2, self.c3 = density_bounds(params, init)
         try:
             self._xi = cfg.xi
             self.w = np.array(init.sample(-params.h0 + self._xi * (2.0 * params.h0)))
             self._work = _Workspace(params, self.dt, cfg.n, cfg.dxi)
         except MemoryError:
             raise ConfigurationError(f"n={cfg.n} nodes are more than memory can hold") from None
+        self.c2, self.c3 = density_bounds(params, self.w)
         if np.any(self.w < 0):
             raise ConfigurationError("initial densities must be non-negative")
         self.w[:, 0] = self.w[:, -1] = 0.0
@@ -374,12 +374,8 @@ class Trajectory:
     def advance(self, to_step: int, stop_width: float = math.inf) -> None:
         """Integrate from the current step up to step ``to_step``, or to the
         first step after which the width h - g exceeds ``stop_width``."""
-        if to_step >= self._rec.shape[1]:
-            # at least double: a run resumed period by period copies its records
-            # a few times, not once per period
-            grown = np.empty((5, max(to_step + 1, 2 * self._rec.shape[1])))
-            grown[:, : self.step + 1] = self._rec[:, : self.step + 1]
-            self._rec = grown
+        if to_step > self.n_steps:
+            raise PreconditionError(f"step {to_step} is past the last step {self.n_steps}")
         params, cfg, dt, m = self.params, self.cfg, self.dt, self.cfg.steps_per_period
         rec, work = self._rec, self._work
         while self.step < to_step:

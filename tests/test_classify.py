@@ -494,7 +494,8 @@ def _benchmark_bracket(seed):
 )
 def test_certificate_stops_reach_vanishing(monkeypatch, search, mu2, n, steps, bracket, tol, t_end):
     # every probe the certificate stops vanishes by detect_outcome too, run on
-    # to its horizon or, where Undecided there, to the doubled one
+    # to its horizon or, where Undecided there, to the doubled one, the
+    # trajectory's last step
     import pulsefront.classify as classify
 
     certified = []
@@ -514,7 +515,7 @@ def test_certificate_stops_reach_vanishing(monkeypatch, search, mu2, n, steps, b
     horizon = 40.0 * params.tau if t_end is None else t_end
     for traj in certified:
         verdict = None
-        for to_step in (traj.n_steps, traj.steps_to(2.0 * horizon)):
+        for to_step in (traj.steps_to(horizon), traj.n_steps):
             if traj.step > to_step:  # certified after the resume
                 continue
             traj.advance(to_step)

@@ -125,6 +125,15 @@ def test_cli_tabulated_read_errors_exit_2(tmp_path, capsys, table):
     assert "profiles.csv" in err and "Traceback" not in err
 
 
+def test_scenario_table_order():
+    # the benchmark runs FIGURES[seed % 4]: a reordered table would change
+    # which scenario each seed runs
+    assert FIGURES == ("fig-a", "fig-b", "fig-c", "fig-d")
+    assert [preset(f).figure for f in FIGURES] == list(FIGURES)
+    with pytest.raises(ValueError, match="'fig-x'; expected one of fig-a, fig-b, fig-c, fig-d$"):
+        preset("fig-x")
+
+
 @pytest.mark.parametrize(
     "source",
     [

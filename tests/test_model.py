@@ -219,17 +219,19 @@ def test_from_table_rejects_nonfinite(column, bad):
 
 
 def test_density_bounds_dominate(params_benchmark, init_cos):
-    c2, c3 = density_bounds(params_benchmark, init_cos)
+    densities = np.array(init_cos.sample(np.linspace(-2.0, 2.0, 129)))
+    c2, c3 = density_bounds(params_benchmark, densities)
     assert c2 > 20.0 / 3.0 and c3 > 4.0  # above the homogeneous fixed point
+    assert c2 >= densities[0].max() and c3 >= densities[1].max()
     # balance margin: f(C2) < a11*a22/(a12) * C2 certainly
     f = params_benchmark.growth
     assert f(c2) < params_benchmark.a11 * params_benchmark.a22 / params_benchmark.a12 * c2
 
 
-def test_density_bounds_need_slope_condition(init_cos):
+def test_density_bounds_need_slope_condition():
     p = ModelParams(
         d1=0.1, d2=0.4, a11=0.3, a12=0.5, a22=0.1, mu1=1.0, mu2=1.0, h0=2.0, tau=5.0,
         growth=LinearGrowth(p=0.2), impulse=IdentityImpulse(),
     )
     with pytest.raises(ConfigurationError):
-        density_bounds(p, init_cos)
+        density_bounds(p)

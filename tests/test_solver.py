@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsefront import solver
-from pulsefront.errors import ConfigurationError, NumericalError
+from pulsefront.errors import ConfigurationError, NumericalError, PreconditionError
 from pulsefront.model import InitialData
 from pulsefront.presets import preset
 from pulsefront.solver import (
@@ -174,8 +174,8 @@ def test_trajectory_in_pieces_matches_run(params_disinfected, init_cos):
     t_end = 3.1 * params_disinfected.tau + 0.02
     snaps = (0.0, 5.0, 10.0, t_end, 2.0 * t_end)
     whole = run(params_disinfected, init_cos, cfg, t_end, snaps)
-    traj = Trajectory(params_disinfected, init_cos, cfg, t_end, snaps)
-    assert traj.n_steps == whole.t.size - 1 == 311
+    traj = Trajectory(params_disinfected, init_cos, cfg, 4.0 * t_end, snaps)
+    assert traj.steps_to(t_end) == whole.t.size - 1 == 311
     reference = _reference_records(params_disinfected, init_cos, cfg, t_end)
     assert np.array_equal(np.array([whole.t, whole.g, whole.h, whole.sup_u, whole.sup_v]), reference)
     for k in (1, 99, 100, 101, 200, 201, 250, 300, 311):
@@ -183,25 +183,40 @@ def test_trajectory_in_pieces_matches_run(params_disinfected, init_cos):
         assert traj.step == k
         _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, k * traj.dt, snaps))
     _assert_same_series(traj.series(), whole)
-    # resuming past the first horizon grows the records and equals a fresh run
+    # resuming past the first horizon equals a fresh run
     first = traj.series()
-    buffers = [traj._rec]
-
-    def advance(k):
-        traj.advance(k)
-        if traj._rec is not buffers[-1]:
-            buffers.append(traj._rec)
-
-    advance(traj.steps_to(2.0 * t_end))
+    traj.advance(traj.steps_to(2.0 * t_end))
     _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, 2.0 * t_end, snaps))
     _assert_same_series(first, whole)
-    # then one period at a time up to 4x the horizon: the capacity at least
-    # doubles on each growth, so the records are not copied once per period
-    last = traj.steps_to(4.0 * t_end)
-    while traj.step < last:
-        advance(min(traj.step + cfg.steps_per_period, last))
-    assert len(buffers) <= 3
+    # then one period at a time up to the last step, at 4x the horizon
+    while traj.step < traj.n_steps:
+        traj.advance(min(traj.step + cfg.steps_per_period, traj.n_steps))
     _assert_same_series(traj.series(), run(params_disinfected, init_cos, cfg, 4.0 * t_end, snaps))
+
+
+def test_advancing_past_the_last_step_is_refused(params_disinfected, init_cos):
+    # a trajectory has the fixed length its t_end sets; past it the records
+    # would need more room, so the call is refused and nothing changes
+    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=32, steps_per_period=100), 1.0)
+    traj.advance(7)
+    before, w = traj.series(), traj.w.copy()
+    with pytest.raises(PreconditionError, match="past the last step 20"):
+        traj.advance(traj.n_steps + 1)
+    assert traj.step == 7 and np.array_equal(traj.w, w)
+    _assert_same_series(traj.series(), before)
+
+
+def test_density_bound_covers_the_sampled_start():
+    # a narrow peak of u0 = 1e5 at x = 0.0015 falls between the points of a
+    # coarse sample but on nodes of the n = 4096 grid, where the run starts
+    params = preset("fig-c").config.model
+    x = np.array([-2.0, -1.9, 0.001, 0.0015, 0.002, 1.9, 2.0])
+    u = np.array([0.0, 0.01, 0.01, 1e5, 0.01, 0.01, 0.0])
+    v = np.array([0.0, 0.1, 0.1, 0.1, 0.1, 0.1, 0.0])
+    traj = Trajectory(params, InitialData.from_table(x, u, v), SolverConfig(n=4096), 0.01)
+    assert traj.n_steps == 4
+    assert traj.c2 >= traj.w[0].max() > 9000.0
+    traj.advance(4)
 
 
 def test_timeseries_shape_and_times(params_benchmark, init_cos):
@@ -360,7 +375,9 @@ def test_heun_stages_sharing_start_terms_are_bit_identical(figure, n, steps_per_
     # stages that each build their own must give the same records, bit for bit
     params = preset(figure).config.model
     cfg = SolverConfig(n=n, steps_per_period=steps_per_period)
-    traj = Trajectory(params, InitialData.cos_quarter(params.h0, 0.3, 0.1), cfg, 5.0)
+    traj = Trajectory(params, InitialData.cos_quarter(params.h0, 0.3, 0.1), cfg,
+                      k * params.tau / steps_per_period)
+    assert traj.n_steps == k
     g, h, w = traj.g, traj.h, traj.w.copy()
     records = [(g, h, w[0].max(), w[1].max())]
     for step in range(k):
@@ -378,7 +395,7 @@ def test_heun_stages_sharing_start_terms_are_bit_identical(figure, n, steps_per_
 def test_kept_arrays_are_not_reused_buffers(params_disinfected, init_cos):
     # the workspace's buffers are overwritten every stage; the records, the
     # state and the snapshots a caller keeps must never be one of them
-    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=64, steps_per_period=100), 5.0,
+    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=64, steps_per_period=100), 12.5,
                       snapshot_times=(1.0,))
     traj.advance(30)
     series, w = traj.series(), traj.w
@@ -407,7 +424,7 @@ def test_each_step_calls_the_traced_kernels(params_disinfected, init_cos, monkey
 
     counted("transform_step")
     counted("imex_density_step")
-    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=32, steps_per_period=100), 5.0)
+    traj = Trajectory(params_disinfected, init_cos, SolverConfig(n=32, steps_per_period=100), 6.85)
     traj.advance(37)
     assert calls == {"transform_step": 37, "imex_density_step": 74}
     traj.advance(137)
