@@ -283,7 +283,10 @@ def _probe(
     its end, with records bit-identical to a fresh run of that length.
     """
     start = time.perf_counter()
-    traj = Trajectory(params, init, cfg, 2.0 * t_end)
+    try:
+        traj = Trajectory(params, init, cfg, 2.0 * t_end)
+    except PreconditionError as exc:
+        raise PreconditionError(f"a probe may run to twice t_end={t_end:g}: {exc}") from None
     m = cfg.steps_per_period
 
     def run_to(horizon: int) -> tuple[str, dict | None, Classification | None]:

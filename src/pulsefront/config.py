@@ -4,12 +4,12 @@ Top-level keys ``model``, ``init``, ``solver``, ``run``.  The model's
 coefficients are ``model.COEFFICIENTS``.  Growth and impulse functions are
 tagged objects, e.g. {"kind": "beverton-holt", "m": 1, "a": 10} or
 {"kind": "saturating", "c": 0.5, "b": 10}: ``kind`` picks a class of the
-``GrowthFn`` or ``ImpulseFn`` union, and exactly that dataclass's fields are
-read (other keys are ignored), so the schema is stated once, in ``model``.
-Initial data is either the named profile {"kind": "cos-quarter", "amp_u": ..,
-"amp_v": ..} or {"kind": "tabulated", "path": "profiles.csv"} with columns
-x,u,v.  Parsing validates every field and then runs the assumption checks;
-hard failures reject the configuration with the assumption label.
+``GrowthFn`` or ``ImpulseFn`` union, and that dataclass's fields are read,
+so the schema is stated once, in ``model``.  Initial data is one of
+``INIT_KINDS``: {"kind": "cos-quarter", "amp_u": .., "amp_v": ..} or
+{"kind": "tabulated", "path": "profiles.csv"} with columns x,u,v.  Every
+object refuses a key it does not read.  Parsing validates every field, then
+runs the assumption checks; a hard failure is refused with its label.
 """
 
 from __future__ import annotations
@@ -47,12 +47,13 @@ class InitSpec:
     amp_v: float = 0.0
     path: str = ""
 
-    def build(self, params: ModelParams, base_dir: Path | None = None) -> InitialData:
+    def __post_init__(self):
+        _kind(self.kind, INIT_KINDS, "init")
+
+    def build(self, params: ModelParams, base_dir: Path = Path()) -> InitialData:
         if self.kind == "cos-quarter":
             return InitialData.cos_quarter(params.h0, self.amp_u, self.amp_v)
-        table = Path(self.path)
-        if base_dir is not None and not table.is_absolute():
-            table = base_dir / table
+        table = base_dir / self.path  # an absolute path stays as it is
         if not table.exists():
             raise ConfigurationError(f"tabulated profile file not found: {table}")
         try:
@@ -113,19 +114,42 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return int(val)
 
 
+def _text(obj: dict, key: str, where: str) -> str:
+    return str(_require(obj, key, where))
+
+
+# Each init kind with the reader of each field it reads; InitSpec holds the fields of both
+INIT_KINDS = {"cos-quarter": {"amp_u": _number, "amp_v": _number}, "tabulated": {"path": _text}}
+
+
+def _known(obj: dict, names, where: str) -> None:
+    """Refuse a key of ``obj`` that is not one of ``names``."""
+    for key in obj:
+        if key not in names:
+            raise ConfigurationError(
+                f"unknown field '{key}' in {where}; it accepts only {', '.join(names)}"
+            )
+
+
+def _kind(kind, kinds: dict, where: str):
+    if isinstance(kind, str) and kind in kinds:
+        return kinds[kind]
+    expected = ", ".join(map(repr, kinds))
+    raise ConfigurationError(f"unknown kind {kind!r} in {where}; expected one of {expected}")
+
+
 def _family(obj: dict, where: str, kinds: dict):
     """The family member named by ``obj["kind"]``, built from its dataclass fields."""
-    kind = _require(obj, "kind", where)
-    cls = kinds.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        expected = ", ".join(map(repr, kinds))
-        raise ConfigurationError(f"unknown kind {kind!r} in {where}; expected one of {expected}")
+    cls = _kind(_require(obj, "kind", where), kinds, where)
+    _known(obj, ["kind", *(f.name for f in fields(cls))], where)
     return cls(**{f.name: _number(obj, f.name, where) for f in fields(cls)})
 
 
 def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     base_dir = base_dir or Path(".")
+    _known(doc, ["model", "init", "solver", "run"], "configuration")
     model_doc = _section(doc, "model", "configuration")
+    _known(model_doc, [*COEFFICIENTS, "growth", "impulse"], "model")
     kwargs = {name: _number(model_doc, name, "model") for name in COEFFICIENTS}
     params = ModelParams(
         growth=_family(_section(model_doc, "growth", "model"), "model.growth", GROWTH_KINDS),
@@ -135,27 +159,16 @@ def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
 
     init_doc = _section(doc, "init", "configuration")
     kind = _require(init_doc, "kind", "init")
-    if kind == "cos-quarter":
-        spec = InitSpec(
-            kind=kind,
-            amp_u=_number(init_doc, "amp_u", "init"),
-            amp_v=_number(init_doc, "amp_v", "init"),
-        )
-    elif kind == "tabulated":
-        spec = InitSpec(kind=kind, path=str(_require(init_doc, "path", "init")))
-    else:
-        raise ConfigurationError(f"unknown init kind {kind!r}; expected 'cos-quarter' or 'tabulated'")
+    readers = _kind(kind, INIT_KINDS, "init")
+    _known(init_doc, ["kind", *readers], "init")
+    spec = InitSpec(kind, **{name: read(init_doc, name, "init") for name, read in readers.items()})
 
     solver_doc = _section(doc, "solver", "configuration") if "solver" in doc else {}
-    names = [f.name for f in fields(SolverConfig)]
-    for key in solver_doc:
-        if key not in names:
-            raise ConfigurationError(
-                f"unknown field '{key}' in solver; it accepts only {' and '.join(names)}"
-            )
+    _known(solver_doc, [f.name for f in fields(SolverConfig)], "solver")
     solver = SolverConfig(**{key: _integer(solver_doc, key, "solver") for key in solver_doc})
 
     run_doc = _section(doc, "run", "configuration")
+    _known(run_doc, ["t_end", "snapshot_times", "out_dir"], "run")
     t_end = _number(run_doc, "t_end", "run")
     if not t_end > 0:
         raise ConfigurationError(f"run.t_end must be positive, got {t_end}")
@@ -211,19 +224,14 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def config_to_json_dict(cfg: RunConfig) -> dict:
-    m = cfg.model
-    init: dict = {"kind": cfg.init.kind}
-    if cfg.init.kind == "cos-quarter":
-        init.update(amp_u=cfg.init.amp_u, amp_v=cfg.init.amp_v)
-    else:
-        init["path"] = cfg.init.path
+    m, init = cfg.model, cfg.init
     return {
         "model": {
             **{name: getattr(m, name) for name in COEFFICIENTS},
             "growth": {"kind": m.growth.kind, **asdict(m.growth)},
             "impulse": {"kind": m.impulse.kind, **asdict(m.impulse)},
         },
-        "init": init,
+        "init": {"kind": init.kind, **{k: getattr(init, k) for k in INIT_KINDS[init.kind]}},
         "solver": asdict(cfg.solver),
         "run": {
             "t_end": cfg.t_end,

@@ -341,10 +341,11 @@ def fixed_domain_periodic(
         )
 
     start = state.reshape(2, n + 1)
-    if is_positive:  # sample the converged orbit over one period
-        _, path = _imex_period(
-            params, start, interval_length, steps_per_period, max(1, steps_per_period // 8)
-        )
+    if is_positive:  # sample the converged orbit over one period, ending at the pre-reset state
+        every = max(1, steps_per_period // 8)
+        image, path = _imex_period(params, start, interval_length, steps_per_period, every)
+        if steps_per_period % every:
+            path.append((steps_per_period * (params.tau / steps_per_period), image))
         ts, ws = zip(*path)
         t, (U, V) = np.array(ts), np.stack(ws, axis=1)
     else:

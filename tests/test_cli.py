@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsefront.cli import main
-from pulsefront.config import RunConfig, config_to_json_dict, parse_config, parse_config_dict
+from pulsefront.config import (
+    InitSpec,
+    RunConfig,
+    config_to_json_dict,
+    parse_config,
+    parse_config_dict,
+)
 from pulsefront.errors import ConfigurationError
 from pulsefront.model import BevertonHoltGrowth
 from pulsefront.output import fmt, snapshots_csv, svg_front_plot, svg_heatmap, timeseries_csv
@@ -107,6 +113,8 @@ def test_parse_tabulated_init(tmp_path):
     cfg = parse_config(_tabulated_config(tmp_path))
     u, v = cfg.initial_data().sample([0.0])
     assert u[0] == pytest.approx(0.3) and v[0] == pytest.approx(0.1)
+    with pytest.raises(ConfigurationError, match="unknown kind 'cos_quarter' in init"):
+        InitSpec(kind="cos_quarter", amp_u=0.3, amp_v=0.1)
 
 
 @pytest.mark.parametrize(
@@ -172,6 +180,15 @@ MALFORMED_FIELDS = [
     (("init", "kind"), None),
     (("model", "growth", "kind"), 7),
     (("model", "growth", "a"), 1e-170),  # a**2 underflows to 0
+    # every section refuses a key it does not read, and the message names it
+    (("slover",), {"n": 64, "steps_per_period": 100}),
+    (("model", "mu3"), 1.0),
+    (("model", "growth", "extra"), 1.0),
+    (("model", "impulse", "extra"), 1.0),
+    (("init", "ampu"), 0.3),
+    (("init",), {"kind": "tabulated", "path": "bad.json", "extra": 1.0}),
+    (("run", "snapshot_time"), [5.0]),
+    (("run", "out_dri"), "out"),
 ]
 
 
@@ -191,6 +208,7 @@ def test_cli_validate_rejects_malformed_field(tmp_path, capsys, path, value):
     assert main(["validate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert path[-1] in err
 
 
 def test_cli_validate_rejects_oversized_integer_literal(tmp_path, capsys):
@@ -547,6 +565,17 @@ def test_cli_threshold_unreachable_tol_is_precondition_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "float spacing" in captured.err
+
+
+def test_cli_threshold_unrecordable_horizon_names_the_configured_one(tmp_path, capsys):
+    # a probe's trajectory is built for twice the horizon; the message says so
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(small_config_dict(t_end=5e16, n=16, steps=10, mu1=0.1, mu2=1.0)))
+    code = main(["threshold", "--config", str(path), "--param", "mu2",
+                 "--lo", "1", "--hi", "10", "--tol", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "may run to twice t_end=5e+16: " in err and "than can be recorded" in err
 
 
 def test_cli_reproduce_writes_report_bundle(tmp_path, capsys, monkeypatch):

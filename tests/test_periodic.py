@@ -24,7 +24,7 @@ from pulsefront.periodic import (
     ode_period_map,
     ode_periodic_orbit,
 )
-from pulsefront.presets import base_params_cd
+from pulsefront.presets import base_params_a, base_params_cd
 from pulsefront.solver import imex_density_step
 
 U_STAR, V_STAR = 20.0 / 3.0, 4.0  # nullcline fixed point of the benchmark set
@@ -139,6 +139,16 @@ def test_fixed_domain_supercritical_positive_orbit(params_benchmark):
     assert center == pytest.approx(U_STAR, rel=0.01)
     vcenter = orbit.V[0, orbit.V.shape[1] // 2]
     assert vcenter == pytest.approx(V_STAR, rel=0.01)
+
+
+@pytest.mark.parametrize("steps", [50, 150, 200])
+def test_positive_orbit_samples_end_at_the_pre_reset_state(steps):
+    # a step count that is no multiple of 8 still ends its samples on tau
+    p = base_params_a()
+    orbit = fixed_domain_periodic(p, 30.0, n=32, steps_per_period=steps)
+    assert orbit.is_positive and orbit.t[-1] == p.tau
+    image, _ = _imex_period(p, orbit.start_pre_reset, 30.0, steps)
+    assert np.array_equal(np.stack([orbit.U[-1], orbit.V[-1]]), image)
 
 
 def test_fixed_domain_disinfected_zero(params_disinfected):
