@@ -40,29 +40,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Free-boundary epidemic model with periodic disinfection impulses.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # every subcommand but reproduce reads a configuration, which main parses once
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True)
 
-    sim = sub.add_parser("simulate", help="run the model and write CSV traces")
-    sim.add_argument("--config", required=True)
+    sim = sub.add_parser("simulate", parents=[config], help="run the model and write CSV traces")
     sim.add_argument("--t-end", type=float, default=None)
     sim.add_argument("--out", default=None)
 
-    eig = sub.add_parser("eigen", help="print the principal eigenvalue report as JSON")
-    eig.add_argument("--config", required=True)
+    eig = sub.add_parser("eigen", parents=[config],
+                         help="print the principal eigenvalue report as JSON")
     eig.add_argument("--interval", required=True, help="interval length, or 'inf'")
 
-    cla = sub.add_parser("classify", help="spreading-vanishing classification as JSON")
-    cla.add_argument("--config", required=True)
+    cla = sub.add_parser("classify", parents=[config],
+                         help="spreading-vanishing classification as JSON")
     cla.add_argument("--simulate", action="store_true", help="resolve by simulation if needed")
 
-    thr = sub.add_parser("threshold", help="bisect the sharp mu2 or kappa threshold")
-    thr.add_argument("--config", required=True)
+    thr = sub.add_parser("threshold", parents=[config],
+                         help="bisect the sharp mu2 or kappa threshold")
     thr.add_argument("--param", required=True, choices=("mu2", "kappa"))
     thr.add_argument("--lo", type=float, required=True)
     thr.add_argument("--hi", type=float, required=True)
     thr.add_argument("--tol", type=float, default=0.25)
 
-    swp = sub.add_parser("sweep", help="tabulate eigenvalues and outcomes along one axis")
-    swp.add_argument("--config", required=True)
+    swp = sub.add_parser("sweep", parents=[config],
+                         help="tabulate eigenvalues and outcomes along one axis")
     swp.add_argument("--axis", required=True)
     swp.add_argument("--values", required=True, help="comma-separated numbers")
 
@@ -70,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("figure", choices=FIGURES)
     rep.add_argument("--out", default=None)
 
-    val = sub.add_parser("validate", help="check the model assumptions of a configuration")
-    val.add_argument("--config", required=True)
+    sub.add_parser("validate", parents=[config],
+                   help="check the model assumptions of a configuration")
     return p
 
 
@@ -130,8 +132,7 @@ def _simulate_outputs(config: RunConfig, out_dir: Path, t_end: float) -> dict:
     return {"series": series, "written": written}
 
 
-def _cmd_simulate(args) -> int:
-    config = parse_config(args.config)
+def _cmd_simulate(args, config: RunConfig) -> int:
     t_end = args.t_end if args.t_end is not None else config.t_end
     out_dir = _output_dir(args.out or config.out_dir)
     result = _simulate_outputs(config, out_dir, t_end)
@@ -152,16 +153,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_eigen(args) -> int:
-    config = parse_config(args.config)
+def _cmd_eigen(args, config: RunConfig) -> int:
     length = _parse_interval(args.interval)
     report = eigen.principal_eigenvalue_monodromy(config.model, length)
     _emit(report.to_json_dict())
     return 0
 
 
-def _cmd_classify(args) -> int:
-    config = parse_config(args.config)
+def _cmd_classify(args, config: RunConfig) -> int:
     outcome = cls.classify_analytic(config.model)
     if args.simulate and outcome.verdict is cls.Verdict.THRESHOLD_DEPENDENT:
         series = run(config.model, config.initial_data(), config.solver, config.t_end)
@@ -170,8 +169,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_threshold(args) -> int:
-    config = parse_config(args.config)
+def _cmd_threshold(args, config: RunConfig) -> int:
     search = cls.find_mu_threshold if args.param == "mu2" else cls.find_kappa_threshold
     result = search(
         config.model,
@@ -211,8 +209,7 @@ def _sweep_row(config: RunConfig, axis: str, value: float, shared: cls.Classific
     )
 
 
-def _cmd_sweep(args) -> int:
-    config = parse_config(args.config)
+def _cmd_sweep(args, config: RunConfig) -> int:
     if args.axis not in SWEEP_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {args.axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
@@ -229,7 +226,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, _config: None) -> int:
     ref = preset(args.figure)
     config = ref.config
     out_dir = _output_dir(args.out or Path("out") / args.figure)
@@ -268,8 +265,8 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    config = parse_config(args.config)  # hard failures already raise with the label
+def _cmd_validate(args, config: RunConfig) -> int:
+    # parse_config already refused a hard failure with its label
     report = validate_assumptions(config.model, config.initial_data())
     _emit(report.to_json_dict())
     return 0
@@ -289,7 +286,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        config = parse_config(args.config) if "config" in args else None
+        return _HANDLERS[args.command](args, config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,7 @@ class InitSpec:
         except (OSError, ValueError, UserWarning) as exc:
             raise ConfigurationError(f"cannot read tabulated profile {table}: {exc}") from None
         if rows.shape[1] != 3:
-            raise ConfigurationError("tabulated profile needs columns x,u,v")
+            raise ConfigurationError(f"tabulated profile {table} needs columns x,u,v")
         return InitialData.from_table(rows[:, 0], rows[:, 1], rows[:, 2])
 
 

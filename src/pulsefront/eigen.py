@@ -27,6 +27,8 @@ closed form
 
 Both routes report the same normalized temporal profile, so the uniform
 envelope constants of ``eigenfunction_envelope_bounds`` apply to either.
+``ModelParams`` admits only a12*f'(0) > 0 and 0 < G'(0) <= 1, so the
+routines here check the interval length alone.
 """
 
 from __future__ import annotations
@@ -191,8 +193,6 @@ def principal_eigenvalue_monodromy(params: ModelParams, interval_length: float) 
     lambda0 = 0.0 if interval_length == math.inf else dirichlet_lambda0(interval_length)
 
     fp0, gp0 = params.growth.slope_at_zero, params.impulse.slope_at_zero
-    if not gp0 > 0:
-        raise PreconditionError("impulse slope G'(0) must be positive")
     c1, c2, gap, n12 = _shifts(params, lambda0)
     root = gap + n12  # c1 - c2
     E, one_minus_E = math.exp(-root * params.tau), -math.expm1(-root * params.tau)
@@ -228,12 +228,7 @@ def principal_eigenvalue_closed_form(params: ModelParams, interval_length: float
     cross-route agreement is limited only by conditioning, not by a stopping
     tolerance.
     """
-    if not (math.isfinite(interval_length) and interval_length > 0):
-        raise PreconditionError("closed-form route needs a finite positive interval length")
     fp0, gp0 = params.growth.slope_at_zero, params.impulse.slope_at_zero
-    if not (0.0 < gp0 <= 1.0):
-        raise PreconditionError(f"closed-form route needs G'(0) in (0, 1], got {gp0}")
-
     lambda0 = dirichlet_lambda0(interval_length)
     c1, c2, gap, n12 = _shifts(params, lambda0)
     tau = params.tau
@@ -309,8 +304,6 @@ def eigenfunction_envelope_bounds(params: ModelParams) -> tuple[float, float, fl
     NumericalError when one of them leaves the float range.
     """
     fp0, gp0 = params.growth.slope_at_zero, params.impulse.slope_at_zero
-    if not (0.0 < gp0 <= 1.0):
-        raise PreconditionError("envelope bounds need G'(0) in (0, 1]")
     lam0_h0 = dirichlet_lambda0(2.0 * params.h0)
     root = math.sqrt(params.a12 * fp0)
     spread = 2.0 * root + params.a11 + params.a22 + (params.d1 + params.d2) * lam0_h0

@@ -211,11 +211,13 @@ class ModelParams:
     h0          initial half-width of the interval     (length)
     tau         disinfection period                    (time)
 
-    Construction enforces the structural sign conditions, and the growth and
-    impulse constructors the shapes of A2-A4.  The asymptotic slope condition
-    lim f(u)/u < a11*a22/a12 couples the growth to the coefficients; it is
-    checked by ``validate_assumptions`` so that parameter sets violating it
-    can still be constructed and reported on.
+    Construction enforces the structural sign conditions, among them a
+    coupling a12*f'(0) that is a positive float (the eigenvalue routines
+    divide by it), and the growth and impulse constructors the shapes of
+    A2-A4.  The asymptotic slope condition lim f(u)/u < a11*a22/a12 couples
+    the growth to the coefficients; it is checked by ``validate_assumptions``
+    so that parameter sets violating it can still be constructed and
+    reported on.
     """
 
     d1: float
@@ -243,6 +245,9 @@ class ModelParams:
             raise ConfigurationError("expansion capacities mu1, mu2 must be non-negative")
         if not self.mu1 + self.mu2 > 0:
             raise ConfigurationError("mu1 + mu2 must be positive: some species must push the front")
+        fp0 = self.growth.slope_at_zero
+        if not self.a12 * fp0 > 0:
+            raise ConfigurationError(f"a12*f'(0) rounds to 0: a12={self.a12:g}, f'(0)={fp0:g}")
 
     def with_(self, **changes) -> "ModelParams":
         return replace(self, **changes)

@@ -287,7 +287,7 @@ def ode_periodic_orbit(
 def _imex_period(params: ModelParams, w: np.ndarray, length: float, steps: int, sample_every=0):
     """Frozen-interval period map on the (2, n+1) densities: reset, then IMEX over (0, tau]
     on the interior vector with one factored matrix and two reused buffers; ``w`` itself is
-    left as it is.  Optionally samples (t, w) every ``sample_every`` steps from 0+."""
+    left as it is.  Optionally samples (t, w) every ``sample_every`` steps from 0+ and at tau."""
     dt = params.tau / steps
     step = frozen_step(params, dt, length, w.shape[1] - 1)
     z = np.concatenate((params.impulse(w[0, 1:-1]), w[1, 1:-1]))
@@ -295,7 +295,7 @@ def _imex_period(params: ModelParams, w: np.ndarray, length: float, steps: int, 
     samples = [(0.0, _padded(z))] if sample_every else None
     for i in range(1, steps + 1):
         z = step(z, buffers[i % 2])  # reads one buffer, writes the other
-        if samples is not None and i % sample_every == 0:
+        if samples is not None and (i % sample_every == 0 or i == steps):
             samples.append((i * dt, _padded(z)))
     return _padded(z), samples
 
@@ -343,9 +343,7 @@ def fixed_domain_periodic(
     start = state.reshape(2, n + 1)
     if is_positive:  # sample the converged orbit over one period, ending at the pre-reset state
         every = max(1, steps_per_period // 8)
-        image, path = _imex_period(params, start, interval_length, steps_per_period, every)
-        if steps_per_period % every:
-            path.append((steps_per_period * (params.tau / steps_per_period), image))
+        _, path = _imex_period(params, start, interval_length, steps_per_period, every)
         ts, ws = zip(*path)
         t, (U, V) = np.array(ts), np.stack(ws, axis=1)
     else:

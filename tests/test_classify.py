@@ -271,6 +271,12 @@ def test_mu_threshold_degenerate_bracket(init_cos):
     cfg = SolverConfig(n=64, steps_per_period=100)
     with pytest.raises(PreconditionError, match="degenerate"):
         find_mu_threshold(p, init_cos, cfg, (3.0, 3.0), 0.5)
+    # so is a bracket whose ends both spread or both vanish
+    cfg = SolverConfig(n=32, steps_per_period=100)
+    with pytest.raises(PreconditionError, match="mu2 bracket low end must vanish"):
+        find_mu_threshold(p, init_cos, cfg, (20.0, 30.0), 0.5, t_end=200.0)
+    with pytest.raises(PreconditionError, match="mu2 bracket high end must spread"):
+        find_mu_threshold(p, init_cos, cfg, (0.5, 0.8), 0.5, t_end=200.0)
 
 
 @pytest.mark.parametrize("bracket", [(1.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)])

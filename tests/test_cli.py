@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import warnings
@@ -20,7 +21,7 @@ from pulsefront.config import (
     parse_config_dict,
 )
 from pulsefront.errors import ConfigurationError
-from pulsefront.model import BevertonHoltGrowth
+from pulsefront.model import COEFFICIENTS, BevertonHoltGrowth
 from pulsefront.output import fmt, snapshots_csv, svg_front_plot, svg_heatmap, timeseries_csv
 from pulsefront.presets import FIGURES, preset
 from pulsefront.solver import Snapshot, TimeSeries
@@ -119,13 +120,15 @@ def test_parse_tabulated_init(tmp_path):
 
 @pytest.mark.parametrize(
     "table",
-    ["x,u,v\n-2,0,0\n0,abc,0.1\n2,0,0\n", "x,u,v\n-2,0,0\n0,0.3\n2,0,0\n", "x,u,v\n", None],
-    ids=["non-numeric", "ragged", "header-only", "directory"],
+    ["x,u,v\n-2,0,0\n0,abc,0.1\n2,0,0\n", "x,u,v\n-2,0,0\n0,0.3\n2,0,0\n", "x,u,v\n", None,
+     "missing", "x,u\n-2,0\n0,0.3\n2,0\n"],
+    ids=["non-numeric", "ragged", "header-only", "directory", "missing", "two-column"],
 )
 def test_cli_tabulated_read_errors_exit_2(tmp_path, capsys, table):
     config = _tabulated_config(tmp_path, table or "")
-    if table is None:
+    if table in (None, "missing"):
         (tmp_path / "profiles.csv").unlink()
+    if table is None:
         (tmp_path / "profiles.csv").mkdir()
     assert main(["validate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -341,6 +344,11 @@ def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
         # f'(0) = m/a and G'(0) = c/b round to 0: the constructors refuse them
         (["validate"], {"growth": {"kind": "beverton-holt", "m": 5e-324, "a": 2.0}}, 2),
         (["validate"], {"impulse": {"kind": "saturating", "c": 5e-324, "b": 2.0}}, 2),
+        # a12 is a positive float, but the coupling a12*f'(0) rounds to 0: ModelParams
+        # refuses it, where the eigenfunction profile would divide by it
+        (["eigen", "--interval", "1"], {"a12": 5e-324}, 2),
+        (["validate"], {"a12": 5e-324}, 2),
+        (["sweep", "--axis", "a12", "--values", "5e-324"], {}, 2),
     ],
 )
 def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, model, code):
@@ -349,6 +357,40 @@ def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, model, code):
     doc["model"].update(model)
     doc["run"]["out_dir"] = str(tmp_path / "out")
     _assert_clean_exit(tmp_path, capsys, doc, argv, code)
+
+
+# valid numbers of extreme magnitude, one field at a time: the malformed values of
+# test_cli_validate_exit_contract never reach the arithmetic that these do
+MAGNITUDES = (5e-324, 1e-300, 1e-160, 1e-30, 1e30, 1e160, 1e300, 1.7976931348623157e308)
+MAGNITUDE_FIELDS = [("model", name) for name in COEFFICIENTS] + [
+    ("model", "growth", "m"), ("model", "growth", "a"), ("init", "amp_u"), ("init", "amp_v"),
+]
+MAGNITUDE_COMMANDS = (
+    ["validate"], ["eigen", "--interval", "1"], ["eigen", "--interval", "inf"], ["classify"],
+)
+
+
+def test_cli_extreme_magnitudes_keep_the_exit_contract(tmp_path):
+    # every case exits 0 silently, or 2, 3 or 4 with one stderr line
+    config = tmp_path / "run.json"
+    escapes = []
+    for impulse in IMPULSES:
+        base = small_config_dict(n=16, steps=10, mu1=0.1, mu2=1.0, impulse=impulse)
+        for path, value in itertools.product(MAGNITUDE_FIELDS, MAGNITUDES):
+            config.write_text(json.dumps(_mutated(base, path, value)))
+            for argv in MAGNITUDE_COMMANDS:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "t_end=.* is not a multiple of tau", UserWarning)
+                    try:
+                        code = main([argv[0], "--config", str(config), *argv[1:]])
+                    except Exception as exc:  # a traceback at the command line
+                        code = repr(exc)
+                lines = err.getvalue().count("\n")
+                if not (code == 0 and lines == 0 or code in (2, 3, 4) and lines == 1):
+                    escapes.append((impulse["kind"], path[-1], value, " ".join(argv), code))
+    assert escapes == []
 
 
 @pytest.mark.parametrize(("c", "code"), [(1e307, 2), (1e306, 0)])
@@ -437,8 +479,12 @@ def test_cli_validate(config_path, capsys):
     assert any("A3" in l for l in labels)
 
 
-def test_cli_missing_config_is_config_error(capsys):
+def test_cli_missing_config_is_config_error(tmp_path, capsys):
     assert main(["classify", "--config", "/nonexistent.json"]) == 2
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["classify", "--config", str(listed)]) == 2
+    assert "configuration root" in capsys.readouterr().err
 
 
 def test_cli_kappa_threshold_precondition_exit(tmp_path, capsys):

@@ -59,6 +59,12 @@ def test_params_structural_checks(params_benchmark):
         params_benchmark.with_(d1=-0.1)
     with pytest.raises(ConfigurationError, match="mu1"):
         params_benchmark.with_(mu1=0.0, mu2=0.0)
+    # a12 and f'(0) are each a positive float, but their product underflows to 0
+    small = params_benchmark.with_(a12=1e-300)
+    small.with_(growth=LinearGrowth(p=1.0))
+    params_benchmark.with_(growth=LinearGrowth(p=1e-30))
+    with pytest.raises(ConfigurationError, match=r"a12\*f'\(0\) rounds to 0: a12=1e-300, f'\(0\)=1e-30"):
+        small.with_(growth=LinearGrowth(p=1e-30))
 
 
 MODEL_FIELDS = ("d1", "d2", "a11", "a12", "a22", "mu1", "mu2", "h0", "tau")

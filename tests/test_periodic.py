@@ -344,8 +344,9 @@ def test_factored_period_map_alternates_its_buffers(params_disinfected, steps):
 
 
 def test_factored_period_map_samples_its_steps(params_disinfected):
-    # samples every 3 of 10 steps from the post-reset state: each one is the
-    # state the step loop reaches there, and the image is the unsampled one
+    # samples every 3 of 10 steps from the post-reset state, and the last
+    # step: each one is the state the step loop reaches there, and the image
+    # is the unsampled one
     p, n, steps, length = params_disinfected, 32, 10, 30.0
     w = _supersolution_start(p, n)
     image, samples = _imex_period(p, w, length, steps, sample_every=3)
@@ -355,9 +356,10 @@ def test_factored_period_map_samples_its_steps(params_disinfected):
     expected = [(0.0, state)]
     for i in range(1, steps + 1):
         state = imex_density_step(state, p, dt, 1.0 / n, length)
-        if i % 3 == 0:
+        if i % 3 == 0 or i == steps:
             expected.append((i * dt, state))
-    assert [t for t, _ in samples] == [t for t, _ in expected] == [0.0, 3 * dt, 6 * dt, 9 * dt]
+    times = [0.0, 3 * dt, 6 * dt, 9 * dt, 10 * dt]
+    assert [t for t, _ in samples] == [t for t, _ in expected] == times
     for (_, got), (_, want) in zip(samples, expected):
         assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(image), _bits(state))
