@@ -143,10 +143,9 @@ def critical_length(params: ModelParams) -> float:
         )
     lo = 2.0 * params.h0
     hi = 2.0 * lo
+    # no cap: past L ~ 1.4e162, (pi/L)^2 underflows to 0 and the eigenvalue is lam_inf < 0
     while principal_eigenvalue_monodromy(params, hi).lam >= 0:
         lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            raise NumericalError("no sign change found while expanding the width bracket")
     return _bisect(lambda width: principal_eigenvalue_monodromy(params, width).lam > 0, lo, hi)
 
 
@@ -332,7 +331,7 @@ def _probe(
     )
     if verdict is Verdict.UNDECIDED:
         raise NumericalError(
-            f"outcome at {label} still undecided at t_end={2.0 * t_end:.6g}; "
+            f"outcome at {label} still undecided at t={2.0 * t_end:.6g}, twice t_end={t_end:g}; "
             "refine the detection horizon"
         )
     return verdict

@@ -442,8 +442,6 @@ def density_bounds(params: ModelParams, densities: np.ndarray | None = None) -> 
         m_shape = 0.0 if g.p < target else math.inf
     else:
         m_shape = max(0.0, g.m / target - g.a)
-    if not math.isfinite(m_shape):
-        raise ConfigurationError("growth slope exceeds the sustainable decay balance")
 
     m_init = 0.0
     if densities is not None:

@@ -83,6 +83,15 @@ def test_critical_length_far_above_the_initial_interval():
     assert classify_analytic(p).critical_length == lstar
 
 
+def test_critical_length_past_1e12():
+    # d1 = d2 = 1e8 stretch the same hair-thin margin to L* ~ 3.2e12; the
+    # width doubling has no cap
+    p = base_params_cd(1.0).with_(d1=1e8, d2=1e8, a12=0.30000000000000016)
+    lstar = critical_length(p)
+    assert lstar > 1e12
+    assert classify_analytic(p).critical_length == lstar
+
+
 def test_critical_length_preconditions(params_benchmark, params_disinfected):
     with pytest.raises(PreconditionError, match="whole-line"):
         critical_length(params_disinfected)

@@ -136,6 +136,25 @@ def test_cli_tabulated_read_errors_exit_2(tmp_path, capsys, table):
     assert "profiles.csv" in err and "Traceback" not in err
 
 
+def test_cli_negative_interior_start_state_exits_2(tmp_path, capsys):
+    # u < 0 only at x = 0: validate's 1,000 sample points miss it, the n = 16
+    # grid has a node there, and only the Dirichlet ends are set to 0
+    (tmp_path / "profiles.csv").write_text(
+        "x,u,v\n-2,0,0\n-0.001,0.01,0.1\n0,-0.01,0.1\n0.001,0.01,0.1\n2,0,0\n"
+    )
+    doc = small_config_dict(n=16, steps=10, mu1=0.1, mu2=1.0)
+    doc["init"] = {"kind": "tabulated", "path": "profiles.csv"}
+    doc["run"]["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    assert main(["validate", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: initial densities must be non-negative\n"
+    )
+
+
 def test_scenario_table_order():
     # the benchmark runs FIGURES[seed % 4]: a reordered table would change
     # which scenario each seed runs
@@ -329,7 +348,7 @@ def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
         (["sweep", "--axis", "mu2", "--values", "1e300"], {}, 2),
         (["sweep", "--axis", "mu1", "--values", "1e160"], {}, 2),
         (["sweep", "--axis", "a12", "--values", "1e160"], {}, 2),
-        # the diffusion number underflows to 0: the run is valid
+        # a wide interval: the run is valid
         (["sweep", "--axis", "h0", "--values", "1e200"], {}, 0),
         (["sweep", "--axis", "h0", "--values", "1.7976931348623157e308"], {}, 2),  # 2*h0 overflows
         # the monodromy matrix rounds to I; then dt = tau / 10 rounds to 0
@@ -349,6 +368,16 @@ def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
         (["eigen", "--interval", "1"], {"a12": 5e-324}, 2),
         (["validate"], {"a12": 5e-324}, 2),
         (["sweep", "--axis", "a12", "--values", "5e-324"], {}, 2),
+        # the front speed h'/width of a 2e-300 wide interval overflows in the stability guard
+        (["simulate"], {"h0": 1e-300}, 2),
+        # cos-quarter's end samples round to about -1.6e-16 of the amplitude at these h0;
+        # the Dirichlet ends are set to 0 before the start state is checked
+        (["simulate"], {"h0": 6.5}, 0),
+        (["sweep", "--axis", "h0", "--values", "6.5"], {}, 0),
+        # a12*f'(0) a hair above a11*a22 and d1 = d2 = 1e8 put L* near 3.2e12
+        (["classify"], {"d1": 1e8, "d2": 1e8, "a12": 0.30000000000000016}, 0),
+        (["sweep", "--axis", "mu2", "--values", "1"],
+         {"d1": 1e8, "d2": 1e8, "a12": 0.30000000000000016}, 0),
     ],
 )
 def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys, argv, model, code):
@@ -367,6 +396,7 @@ MAGNITUDE_FIELDS = [("model", name) for name in COEFFICIENTS] + [
 ]
 MAGNITUDE_COMMANDS = (
     ["validate"], ["eigen", "--interval", "1"], ["eigen", "--interval", "inf"], ["classify"],
+    ["simulate"],
 )
 
 
@@ -622,6 +652,19 @@ def test_cli_threshold_unrecordable_horizon_names_the_configured_one(tmp_path, c
     assert code == 4
     err = capsys.readouterr().err
     assert "may run to twice t_end=5e+16: " in err and "than can be recorded" in err
+
+
+def test_cli_threshold_undecided_probe_names_the_configured_horizon(tmp_path, capsys):
+    # mu2 = 1 neither vanishes nor spreads by t = 40; the message names both horizons
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(small_config_dict(t_end=20.0, n=16, steps=10, mu1=0.1, mu2=1.0)))
+    code = main(["threshold", "--config", str(path), "--param", "mu2",
+                 "--lo", "1", "--hi", "1e300", "--tol", "1e299"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: outcome at mu2=1 still undecided at t=40, twice t_end=20; "
+        "refine the detection horizon\n"
+    )
 
 
 def test_cli_reproduce_writes_report_bundle(tmp_path, capsys, monkeypatch):

@@ -118,6 +118,18 @@ def test_stability_guard_names_the_pair(params_benchmark, init_cos):
         run(params_benchmark, init_cos, SolverConfig(n=64, steps_per_period=10), 5.0)
 
 
+def test_trajectory_zeroes_negative_dirichlet_ends():
+    # cos(+-pi/2) rounds to about -1.6e-16 at h0 = 6.5: the ends are set to 0,
+    # and the start state passes the non-negativity check
+    params = preset("fig-c").config.model.with_(h0=6.5)
+    init = InitialData.cos_quarter(6.5, 0.3, 0.1)
+    cfg = SolverConfig(n=64, steps_per_period=100)
+    assert np.any(np.array(init.sample(-6.5 + cfg.xi * 13.0)) < 0)
+    traj = Trajectory(params, init, cfg, 1.0)
+    assert np.all(traj.w[:, [0, -1]] == 0.0)
+    assert np.all(traj.w >= 0)
+
+
 def test_undershoot_abort():
     # a hard mesh-motion courant violation drives the explicit advection
     # update negative near the front, beyond any clip tolerance
