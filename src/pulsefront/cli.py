@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: simulate, eigen, classify, threshold, sweep, reproduce,
-validate.  Exit codes: 0 success, 2 configuration or validation error,
-3 numerical failure, 4 violated precondition.
+validate.  Each handler returns the document it prints, formatted by
+``output``; ``main`` writes it to stdout once the command has succeeded.
+Exit codes: 0 success, 2 configuration or validation error, 3 numerical
+failure, 4 violated precondition.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import sys
 from pathlib import Path
@@ -21,15 +22,17 @@ from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import COEFFICIENTS, LinearImpulse, validate_assumptions
 from .output import (
     atomic_write,
-    fmt,
+    json_text,
     snapshots_csv,
     svg_front_plot,
     svg_heatmap,
+    sweep_csv,
+    threshold_csv,
     timeseries_csv,
     write_json,
 )
 from .presets import FIGURES, preset
-from .solver import run
+from .solver import TimeSeries, run
 
 SWEEP_AXES = COEFFICIENTS + ("rho",)
 
@@ -100,10 +103,6 @@ def _parse_values(text: str) -> list[float]:
     return values
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 @contextlib.contextmanager
 def _writing_to(out_dir: Path):
     """Report an OSError of the file operations in the block as an unusable output directory."""
@@ -121,7 +120,7 @@ def _output_dir(path: str | Path) -> Path:
     return out_dir
 
 
-def _simulate_outputs(config: RunConfig, out_dir: Path, t_end: float) -> dict:
+def _simulate_outputs(config: RunConfig, out_dir: Path, t_end: float) -> tuple[TimeSeries, list[str]]:
     series = run(config.model, config.initial_data(), config.solver, t_end, config.snapshot_times)
     written = ["timeseries.csv"]
     with _writing_to(out_dir):
@@ -129,18 +128,17 @@ def _simulate_outputs(config: RunConfig, out_dir: Path, t_end: float) -> dict:
         if series.snapshots:
             atomic_write(out_dir / "snapshots.csv", snapshots_csv(series))
             written.append("snapshots.csv")
-    return {"series": series, "written": written}
+    return series, written
 
 
-def _cmd_simulate(args, config: RunConfig) -> int:
+def _cmd_simulate(args, config: RunConfig) -> str:
     t_end = args.t_end if args.t_end is not None else config.t_end
     out_dir = _output_dir(args.out or config.out_dir)
-    result = _simulate_outputs(config, out_dir, t_end)
-    series = result["series"]
-    _emit(
+    series, written = _simulate_outputs(config, out_dir, t_end)
+    return json_text(
         {
             "out_dir": str(out_dir),
-            "files": result["written"],
+            "files": written,
             "final": {
                 "t": float(series.t[-1]),
                 "g": float(series.g[-1]),
@@ -150,44 +148,28 @@ def _cmd_simulate(args, config: RunConfig) -> int:
             },
         }
     )
-    return 0
 
 
-def _cmd_eigen(args, config: RunConfig) -> int:
+def _cmd_eigen(args, config: RunConfig) -> str:
     length = _parse_interval(args.interval)
-    report = eigen.principal_eigenvalue_monodromy(config.model, length)
-    _emit(report.to_json_dict())
-    return 0
+    return json_text(eigen.principal_eigenvalue_monodromy(config.model, length).to_json_dict())
 
 
-def _cmd_classify(args, config: RunConfig) -> int:
+def _cmd_classify(args, config: RunConfig) -> str:
     outcome = cls.classify_analytic(config.model)
     if args.simulate and outcome.verdict is cls.Verdict.THRESHOLD_DEPENDENT:
         series = run(config.model, config.initial_data(), config.solver, config.t_end)
         outcome = cls.detect_outcome(series, config.model, analytic=outcome)
-    _emit(outcome.to_json_dict())
-    return 0
+    return json_text(outcome.to_json_dict())
 
 
-def _cmd_threshold(args, config: RunConfig) -> int:
+def _cmd_threshold(args, config: RunConfig) -> str:
     search = cls.find_mu_threshold if args.param == "mu2" else cls.find_kappa_threshold
-    result = search(
-        config.model,
-        config.initial_data(),
-        config.solver,
-        (args.lo, args.hi),
-        args.tol,
-        t_end=config.t_end,
-    )
-    lines = ["step,lo,hi,probe,verdict"]
-    for i, ((probe_value, verdict), (lo, hi)) in enumerate(zip(result.history, result.brackets)):
-        lines.append(f"{i},{fmt(lo)},{fmt(hi)},{fmt(probe_value)},{verdict}")
-    lines.append(f"result,{fmt(result.bracket[0])},{fmt(result.bracket[1])},{fmt(result.value)},")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return threshold_csv(search(config.model, config.initial_data(), config.solver,
+                                (args.lo, args.hi), args.tol, t_end=config.t_end))
 
 
-def _sweep_row(config: RunConfig, axis: str, value: float, shared: cls.Classification | None) -> str:
+def _sweep_row(config: RunConfig, axis: str, value: float, shared: cls.Classification | None) -> tuple:
     if axis == "rho":
         model = config.model.with_(impulse=LinearImpulse(rho=value))
     else:
@@ -197,19 +179,11 @@ def _sweep_row(config: RunConfig, axis: str, value: float, shared: cls.Classific
     verdict = analytic.verdict
     if verdict is cls.Verdict.THRESHOLD_DEPENDENT:
         verdict = cls.detect_outcome(series, model, analytic=analytic).verdict
-    return ",".join(
-        [
-            fmt(value),
-            fmt(analytic.lambda_infinity),
-            fmt(analytic.lambda_h0),
-            str(verdict),
-            fmt(float(series.h[-1])),
-            fmt(float(series.sup_u[-1])),
-        ]
-    )
+    return (value, analytic.lambda_infinity, analytic.lambda_h0, verdict,
+            series.h[-1], series.sup_u[-1])
 
 
-def _cmd_sweep(args, config: RunConfig) -> int:
+def _cmd_sweep(args, config: RunConfig) -> str:
     if args.axis not in SWEEP_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {args.axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
@@ -220,18 +194,14 @@ def _cmd_sweep(args, config: RunConfig) -> int:
     shared = None
     if args.axis in ("mu1", "mu2") and values:
         shared = cls.classify_analytic(config.model)
-    header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
-    rows = [_sweep_row(config, args.axis, v, shared) for v in values]
-    sys.stdout.write("\n".join([header] + rows) + "\n")
-    return 0
+    return sweep_csv([_sweep_row(config, args.axis, v, shared) for v in values])
 
 
-def _cmd_reproduce(args, _config: None) -> int:
+def _cmd_reproduce(args, _config: None) -> str:
     ref = preset(args.figure)
     config = ref.config
     out_dir = _output_dir(args.out or Path("out") / args.figure)
-    result = _simulate_outputs(config, out_dir, config.t_end)
-    series = result["series"]
+    series, _ = _simulate_outputs(config, out_dir, config.t_end)
     outcome = cls.detect_outcome(series, config.model)
     eigen_report = {
         "at_h0": eigen.lambda_at_h0(config.model).to_json_dict(),
@@ -252,7 +222,7 @@ def _cmd_reproduce(args, _config: None) -> int:
         write_json(out_dir / "verdict.json", outcome.to_json_dict() | {"figure": args.figure})
         write_json(out_dir / "eigen_report.json", eigen_report)
 
-    _emit(
+    return json_text(
         {
             "figure": args.figure,
             "out_dir": str(out_dir),
@@ -262,14 +232,11 @@ def _cmd_reproduce(args, _config: None) -> int:
             "final_sup_u": float(series.sup_u[-1]),
         }
     )
-    return 0
 
 
-def _cmd_validate(args, config: RunConfig) -> int:
+def _cmd_validate(args, config: RunConfig) -> str:
     # parse_config already refused a hard failure with its label
-    report = validate_assumptions(config.model, config.initial_data())
-    _emit(report.to_json_dict())
-    return 0
+    return json_text(validate_assumptions(config.model, config.initial_data()).to_json_dict())
 
 
 _HANDLERS = {
@@ -287,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = parse_config(args.config) if "config" in args else None
-        return _HANDLERS[args.command](args, config)
+        text = _HANDLERS[args.command](args, config)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -297,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 4
+    sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -386,13 +386,11 @@ def validate_assumptions(params: ModelParams, init: InitialData) -> ValidationRe
         )
     )
 
-    # A3: 0 < G(u) <= u and a non-decreasing G hold by construction.  The
-    # identity response violates the strict G(u)/u < 1 bound and is flagged
-    # informationally as no-intervention.
+    # A3: 0 < G(u) <= u and a non-decreasing G hold by construction.  For these
+    # concave families G(u)/u < 1 fails exactly when G'(0) = 1, the identity
+    # response, which is flagged informationally as no-intervention.
     G = params.impulse
-    identity_like = isinstance(G, IdentityImpulse) or (
-        isinstance(G, LinearImpulse) and G.rho == 1.0
-    )
+    identity_like = G.slope_at_zero == 1.0
     checks.append(
         AssumptionCheck(
             "A3: impulse function",

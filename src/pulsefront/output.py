@@ -17,14 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .classify import ThresholdResult
 from .solver import TimeSeries
 
 __all__ = [
     "fmt",
     "atomic_write",
+    "json_text",
     "write_json",
     "timeseries_csv",
     "snapshots_csv",
+    "threshold_csv",
+    "sweep_csv",
     "svg_front_plot",
     "svg_heatmap",
 ]
@@ -48,8 +52,12 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+def json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json_text(payload))
 
 
 def timeseries_csv(series: TimeSeries) -> str:
@@ -65,6 +73,21 @@ def snapshots_csv(series: TimeSeries) -> str:
         row = fmt(snap.t) + ",%.17g,%.17g,%.17g"
         lines.extend(map(row.__mod__, zip(snap.x, snap.u, snap.v)))
     return "\n".join(lines) + "\n"
+
+
+def threshold_csv(result: ThresholdResult) -> str:
+    """Each probe with the bracket it was made in, then the final bracket and its midpoint."""
+    lines = ["step,lo,hi,probe,verdict"]
+    for i, ((probe, verdict), (lo, hi)) in enumerate(zip(result.history, result.brackets)):
+        lines.append("%d,%.17g,%.17g,%.17g,%s" % (i, lo, hi, probe, verdict))
+    lines.append("result,%.17g,%.17g,%.17g," % (*result.bracket, result.value))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv(rows) -> str:
+    row = "%.17g,%.17g,%.17g,%s,%.17g,%.17g"
+    header = "value,lambda_infinity,lambda_h0,verdict,final_h,final_sup_u"
+    return "\n".join([header, *map(row.__mod__, rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def imex_density_step(
         name, d = ("u", params.d1) if info <= work.m else ("v", params.d2)
         r = diffusion * d
         raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
-    interior = _guarded(w, interior).reshape(2, -1)
+    interior = _guarded(w, interior, work).reshape(2, -1)
     return _padded(interior) if own else interior
 
 
@@ -220,14 +220,15 @@ def frozen_step(params: ModelParams, dt: float, width: float, n: int):
         rows = z.reshape(2, -1)
         work.reactions(rows, out.reshape(2, -1))
         out += z  # addition commutes: the bits of z + reactions
-        return _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0])
+        return _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0], work)
 
     return step
 
 
-def _guarded(w: np.ndarray, interior: np.ndarray) -> np.ndarray:
+def _guarded(w: np.ndarray, interior: np.ndarray, work: _Workspace) -> np.ndarray:
     """``interior`` (u then v) after the finite and undershoot guards against the rows ``w`` of its
-    start state, clipped in place; most pass on one whole-vector min and max (NaN fails both)."""
+    start state, clipped in place; most pass on one whole-vector min and max (NaN fails both).
+    An undershoot of a row whose explicit decay step dt*a is at least 1 is a configuration error."""
     if np.minimum.reduce(interior) >= 0.0 and math.isfinite(np.maximum.reduce(interior)):
         return interior
     rows = interior.reshape(2, -1)
@@ -237,6 +238,13 @@ def _guarded(w: np.ndarray, interior: np.ndarray) -> np.ndarray:
         if low < 0.0:
             scale = w[row].max()
             if low < -CLIP_TOL * scale:
+                coefficient = ("a11", "a22")[row]
+                decay = work.dt * getattr(work.params, coefficient)
+                if decay >= 1.0:
+                    raise ConfigurationError(
+                        f"explicit decay unstable: dt={work.dt:.6g} gives "
+                        f"dt*{coefficient}={decay:.4g} >= 1; reduce dt via steps_per_period"
+                    )
                 raise NumericalError(
                     f"{name} undershoot {low:.3e} exceeds the clip tolerance "
                     f"({CLIP_TOL:.1e} * sup = {CLIP_TOL * scale:.3e}); scheme failure"

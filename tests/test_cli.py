@@ -4,14 +4,19 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pulsefront
 from pulsefront.cli import main
 from pulsefront.config import (
     InitSpec,
@@ -23,7 +28,7 @@ from pulsefront.config import (
 from pulsefront.errors import ConfigurationError
 from pulsefront.model import COEFFICIENTS, BevertonHoltGrowth
 from pulsefront.output import fmt, snapshots_csv, svg_front_plot, svg_heatmap, timeseries_csv
-from pulsefront.presets import FIGURES, preset
+from pulsefront.presets import FIGURES, FigurePreset, preset
 from pulsefront.solver import Snapshot, TimeSeries
 
 GROWTHS = [{"kind": "linear", "p": 0.05}, {"kind": "beverton-holt", "m": 1.0, "a": 10.0}]
@@ -442,6 +447,40 @@ def test_cli_impulse_overflow_below_the_density_bound(tmp_path, capsys, c, code)
         assert err == ""
 
 
+@pytest.mark.parametrize(
+    ("model", "code"),
+    [
+        # dt = 0.5: with dt*a11 or dt*a22 at or past 1 the explicit decay step alone
+        # takes the density below zero, so the step size is the configuration's fault
+        pytest.param({"a11": 2.0}, 2, id="a11=2.0"),
+        pytest.param({"a11": 3.0}, 2, id="a11=3.0"),
+        pytest.param({"a11": 1e30}, 2, id="a11=1e30"),
+        pytest.param({"a22": 3.0}, 2, id="a22=3.0"),
+        pytest.param({"a22": 1e30}, 2, id="a22=1e30"),
+        # dt*a22 = 1 leaves v = dt*f(u) >= 0 after the decay: the run is valid
+        pytest.param({"a22": 2.0}, 0, id="a22=2.0"),
+        # dt*a11 = 0.995: the undershoot is the scheme's, not the decay step's
+        pytest.param({"a11": 1.99}, 3, id="a11=1.99"),
+    ],
+)
+def test_cli_decay_step_limit(tmp_path, capsys, model, code):
+    doc = small_config_dict(n=16, steps=10, mu1=0.1, mu2=1.0)
+    doc["model"].update(model)
+    doc["run"]["out_dir"] = str(tmp_path / "out")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    (name,) = model
+    if code == 2:
+        assert err.startswith(f"configuration error: explicit decay unstable: dt=0.5 gives dt*{name}=")
+        assert err.endswith(" >= 1; reduce dt via steps_per_period\n")
+    elif code == 3:
+        assert err.startswith("numerical failure: u undershoot ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def _assert_clean_exit(tmp_path, capsys, doc, argv, code):
     """The command exits with ``code``: silently on 0, else with one error line."""
     config = tmp_path / "run.json"
@@ -667,26 +706,27 @@ def test_cli_threshold_undecided_probe_names_the_configured_horizon(tmp_path, ca
     )
 
 
+def _tiny_preset(figure):
+    """The reference scenario ``figure`` on a 64-interval grid to t = 10."""
+    ref = preset(figure)
+    cfg = ref.config
+    small = cfg.__class__(
+        model=cfg.model,
+        init=cfg.init,
+        solver=type(cfg.solver)(n=64, steps_per_period=500),
+        t_end=10.0,
+        snapshot_times=(0.0, 5.0, 10.0),
+        out_dir=cfg.out_dir,
+    )
+    return FigurePreset(figure=ref.figure, config=small,
+                        expected_verdict=ref.expected_verdict,
+                        reference_lambda=ref.reference_lambda)
+
+
 def test_cli_reproduce_writes_report_bundle(tmp_path, capsys, monkeypatch):
     import pulsefront.cli as cli_mod
-    from pulsefront.presets import FigurePreset, preset as real_preset
 
-    def tiny_preset(figure):
-        ref = real_preset(figure)
-        cfg = ref.config
-        small = cfg.__class__(
-            model=cfg.model,
-            init=cfg.init,
-            solver=type(cfg.solver)(n=64, steps_per_period=500),
-            t_end=10.0,
-            snapshot_times=(0.0, 5.0, 10.0),
-            out_dir=cfg.out_dir,
-        )
-        return FigurePreset(figure=ref.figure, config=small,
-                            expected_verdict=ref.expected_verdict,
-                            reference_lambda=ref.reference_lambda)
-
-    monkeypatch.setattr(cli_mod, "preset", tiny_preset)
+    monkeypatch.setattr(cli_mod, "preset", _tiny_preset)
     out = tmp_path / "rep"
     assert main(["reproduce", "fig-a", "--out", str(out)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -700,6 +740,74 @@ def test_cli_reproduce_writes_report_bundle(tmp_path, capsys, monkeypatch):
     assert ref["lambda_computed"] < 0 and ref["signs_agree"] is True
     verdict_doc = json.loads((out / "verdict.json").read_text())
     assert verdict_doc["lambda_infinity"] < 0 < verdict_doc["lambda_h0"]
+
+
+# each subcommand on an input it completes and on one it refuses, most of them after
+# work has begun; "{out}" is a fresh directory, "{blocked}" one under a regular file
+SINGLE_WRITER_CASES = [
+    pytest.param(["simulate", "--out", "{out}"], {}, 0, id="simulate"),
+    pytest.param(["simulate", "--out", "{out}"], {"a11": 30.0}, 2, id="simulate-decay"),
+    pytest.param(["eigen", "--interval", "1"], {}, 0, id="eigen"),
+    pytest.param(["eigen", "--interval", "1e-200"], {}, 4, id="eigen-narrow"),
+    pytest.param(["classify", "--simulate"], {}, 0, id="classify"),
+    pytest.param(["classify", "--simulate"], {"mu2": 1e300}, 2, id="classify-unstable-run"),
+    pytest.param(["threshold", "--param", "mu2", "--lo", "1", "--hi", "10", "--tol", "3"], {}, 0,
+                 id="threshold"),
+    pytest.param(["threshold", "--param", "mu2", "--lo", "1", "--hi", "1e6", "--tol", "10"], {}, 2,
+                 id="threshold-unstable-probe"),
+    pytest.param(["sweep", "--axis", "mu2", "--values", "1,2"], {}, 0, id="sweep"),
+    pytest.param(["sweep", "--axis", "a11", "--values", "0.3,30"], {}, 2, id="sweep-second-row"),
+    pytest.param(["reproduce", "fig-a", "--out", "{out}"], {}, 0, id="reproduce"),
+    pytest.param(["reproduce", "fig-a", "--out", "{blocked}"], {}, 2, id="reproduce-unusable-out"),
+    pytest.param(["validate"], {}, 0, id="validate"),
+    pytest.param(["validate"], {"growth": {"kind": "linear", "p": 0.2}}, 2, id="validate-a2"),
+]
+
+
+@pytest.mark.parametrize(("argv", "model", "code"), SINGLE_WRITER_CASES)
+def test_cli_prints_one_document_only_on_success(tmp_path, capsys, monkeypatch, argv, model, code):
+    import pulsefront.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "preset", _tiny_preset)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [arg.format(out=tmp_path / "out", blocked=blocker / "sub") for arg in argv]
+    if argv[0] != "reproduce":
+        doc = small_config_dict(t_end=100.0, n=16, steps=50, mu1=0.1, mu2=1.0)
+        doc["model"].update(model)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(doc))
+        argv = [argv[0], "--config", str(config), *argv[1:]]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+    elif argv[0] in ("threshold", "sweep"):
+        assert err == "" and out.endswith("\n")
+        lines = out[:-1].split("\n")
+        assert lines.count(lines[0]) == 1 and all(lines)  # one header, no blank line
+    else:
+        assert err == "" and out.endswith("\n")
+        json.loads(out)  # a second document would be "Extra data"
+
+
+def test_python_m_pulsefront_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(pulsefront.__file__).parents[1])}
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(small_config_dict()))
+    bad.write_text('{"model": ')
+
+    def validate(config):
+        argv = [sys.executable, "-m", "pulsefront", "validate", "--config", str(config)]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    ok = validate(good)
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert json.loads(ok.stdout)["all_pass"] is True
+    refused = validate(bad)
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("configuration error: ") and refused.stderr.count("\n") == 1
 
 
 def test_csv_float_format_round_trips():

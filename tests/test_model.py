@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -181,6 +183,31 @@ def test_validate_identity_impulse_informational(params_benchmark, init_cos):
     a3 = [c for c in report.checks if c.label.startswith("A3")][0]
     assert not a3.passed and a3.informational
     assert "no-intervention" in a3.detail
+    assert report.all_pass
+
+
+def _ulp_below(b):
+    """A saturating impulse with c one ulp below b."""
+    return SaturatingImpulse(c=math.nextafter(b, 0.0), b=b)
+
+
+@pytest.mark.parametrize(
+    ("impulse", "flagged"),
+    [
+        pytest.param(IdentityImpulse(), True, id="identity"),
+        pytest.param(LinearImpulse(rho=1.0), True, id="linear-1"),
+        pytest.param(LinearImpulse(rho=math.nextafter(1.0, 0.0)), False, id="linear-below-1"),
+        pytest.param(SaturatingImpulse(c=0.5, b=10.0), False, id="saturating"),
+        # c one ulp below b: G'(0) = c/b still rounds below 1
+        pytest.param(_ulp_below(10.0), False, id="saturating-ulp-b10"),
+        pytest.param(_ulp_below(1.0), False, id="saturating-ulp-b1"),
+        pytest.param(_ulp_below(math.nextafter(2.0, 0.0)), False, id="saturating-ulp-b-below-2"),
+    ],
+)
+def test_validate_flags_only_the_identity_response(params_benchmark, init_cos, impulse, flagged):
+    report = validate_assumptions(params_benchmark.with_(impulse=impulse), init_cos)
+    a3 = [c for c in report.checks if c.label.startswith("A3")][0]
+    assert a3.passed is not flagged and a3.informational is flagged
     assert report.all_pass
 
 

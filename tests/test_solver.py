@@ -468,6 +468,10 @@ def _guarded_by_rows(w, interior):
     return out
 
 
+# dt*a11 = 0.015 and dt*a22 = 0.005: the decay step cannot undershoot by itself,
+# so every undershoot beyond the tolerance is a scheme failure, as in the oracle
+_GUARD_WORK = solver._Workspace(preset("fig-a").config.model, 0.05, 8, 1.0 / 8)
+
 # an interior entry: a signed zero, the least negative float, a density, or
 # k * CLIP_TOL * sup of its start row for k in [-3, 3], i.e. an undershoot
 # inside or beyond the tolerance; then maybe one entry made NaN or infinite
@@ -496,12 +500,22 @@ def test_guard_fast_path_matches_row_checks(drawn):
         expected = _guarded_by_rows(w, interior.copy())
     except NumericalError as exc:
         with pytest.raises(NumericalError) as got:
-            solver._guarded(w, interior.copy())
+            solver._guarded(w, interior.copy(), _GUARD_WORK)
         assert str(got.value) == str(exc)
         return
-    guarded = solver._guarded(w, interior.copy())
+    guarded = solver._guarded(w, interior.copy(), _GUARD_WORK)
     assert not expected[:, [0, -1]].any()
     assert np.array_equal(guarded.view(np.uint64), expected[:, 1:-1].ravel().view(np.uint64))
+
+
+def test_guard_blames_the_decay_step_only_for_its_own_row(params_benchmark):
+    # dt*a11 = 1.5 and dt*a22 = 0.05: an undershoot of u is the decay step's, one of v the scheme's
+    work = solver._Workspace(params_benchmark.with_(a11=3.0), 0.5, 4, 0.25)
+    w = np.ones((2, 5))
+    with pytest.raises(ConfigurationError, match=r"dt\*a11=1\.5 >= 1; reduce dt via steps_per_period"):
+        solver._guarded(w, np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), work)
+    with pytest.raises(NumericalError, match="v undershoot -1.000e\\+00 exceeds the clip tolerance"):
+        solver._guarded(w, np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]), work)
 
 
 def test_frozen_steps_between_two_buffers_clip_like_the_moving_kernel(params_benchmark):
