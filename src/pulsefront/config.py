@@ -176,6 +176,8 @@ def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
     if not isinstance(snapshot_doc, list):
         raise ConfigurationError(f"run.snapshot_times must be a list, got {snapshot_doc!r}")
     snapshot_times = tuple(_finite(s, "each of run.snapshot_times") for s in snapshot_doc)
+    if any(s < 0 for s in snapshot_times):
+        raise ConfigurationError(f"run.snapshot_times must be non-negative, got {snapshot_doc}")
     out_dir = str(run_doc.get("out_dir", "out"))
 
     periods = t_end / params.tau

@@ -127,24 +127,17 @@ def _polyline(xs, ys, color: str) -> str:
 
 
 def _tick_labels(tmin, tmax, ymin, ymax) -> list[str]:
-    out = []
-    out.append(
-        f'<text x="{_ML}" y="{_H - _MB + 16}" font-family="monospace" font-size="10">'
-        f"{tmin:.6g}</text>"
-    )
-    out.append(
-        f'<text x="{_W - _MR}" y="{_H - _MB + 16}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{tmax:.6g}</text>'
-    )
-    out.append(
-        f'<text x="{_ML - 6}" y="{_H - _MB}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{ymin:.6g}</text>'
-    )
-    out.append(
-        f'<text x="{_ML - 6}" y="{_MT + 10}" text-anchor="end" '
-        f'font-family="monospace" font-size="10">{ymax:.6g}</text>'
-    )
-    return out
+    end = ' text-anchor="end"'
+    ticks = [
+        (_ML, _H - _MB + 16, "", tmin),
+        (_W - _MR, _H - _MB + 16, end, tmax),
+        (_ML - 6, _H - _MB, end, ymin),
+        (_ML - 6, _MT + 10, end, ymax),
+    ]
+    return [
+        f'<text x="{x}" y="{y}"{anchor} font-family="monospace" font-size="10">{value:.6g}</text>'
+        for x, y, anchor, value in ticks
+    ]
 
 
 def svg_front_plot(series: TimeSeries, title: str = "front traces g(t), h(t)") -> str:
@@ -215,17 +208,13 @@ def svg_heatmap(series: TimeSeries, title: str | None = None) -> str:
         # time increases upward from the bottom edge
         y = _MT + plot_h - (i + 1) * cell_h
         idx = np.minimum((row / vmax * 255.0).astype(int), 255)
-        j = 0
-        while j < HEATMAP_COLUMNS:
-            k = j
-            while k + 1 < HEATMAP_COLUMNS and idx[k + 1] == idx[j]:
-                k += 1
+        starts = np.flatnonzero(np.diff(idx, prepend=-1)).tolist()  # the runs of one color
+        for j, k in zip(starts, starts[1:] + [HEATMAP_COLUMNS]):
             parts.append(
                 f'<rect x="{_px(_ML + j * cell_w)}" y="{_px(y)}" '
-                f'width="{_px((k - j + 1) * cell_w)}" height="{_px(cell_h)}" '
-                f'fill="{_CMAP[int(idx[j])]}"/>'
+                f'width="{_px((k - j) * cell_w)}" height="{_px(cell_h)}" '
+                f'fill="{_CMAP[idx[j]]}"/>'
             )
-            j = k + 1
     parts.extend(
         _tick_labels(xmin, xmax, float(snaps[0].t), float(snaps[-1].t))
     )

@@ -8,9 +8,9 @@ uniform supersolution constants:
   integrated by LSODA (``scipy.integrate.odeint``, imported on first use),
   where a failed or non-finite integration raises NumericalError, and
 * the fixed-interval Dirichlet problem, advanced by the moving-front IMEX
-  step with frozen fronts (``solver.frozen_step``, factored once per map)
-  on the interior vector between two reused buffers: the Dirichlet zeros
-  are padded back only at samples and at the end.
+  step with frozen fronts: ``solver.frozen_period_map`` builds the map, its
+  factored matrix and its buffers once per orbit search, and the report
+  samples the converged orbit from the same map.
 
 Both go through one solver, ``_fixed_point``: a few monotone Picard sweeps
 w <- P(w) from above, then Newton steps on F(w) = P(w) - w whose linear
@@ -44,7 +44,7 @@ from scipy.linalg.lapack import dlartg
 from .eigen import principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
 from .model import ModelParams, density_bounds
-from .solver import _padded, frozen_step
+from .solver import frozen_period_map
 
 __all__ = ["PeriodicOrbit", "ode_periodic_orbit", "fixed_domain_periodic", "ode_period_map"]
 
@@ -284,22 +284,6 @@ def ode_periodic_orbit(
     )
 
 
-def _imex_period(params: ModelParams, w: np.ndarray, length: float, steps: int, sample_every=0):
-    """Frozen-interval period map on the (2, n+1) densities: reset, then IMEX over (0, tau]
-    on the interior vector with one factored matrix and two reused buffers; ``w`` itself is
-    left as it is.  Optionally samples (t, w) every ``sample_every`` steps from 0+ and at tau."""
-    dt = params.tau / steps
-    step = frozen_step(params, dt, length, w.shape[1] - 1)
-    z = np.concatenate((params.impulse(w[0, 1:-1]), w[1, 1:-1]))
-    buffers = np.empty_like(z), np.empty_like(z)
-    samples = [(0.0, _padded(z))] if sample_every else None
-    for i in range(1, steps + 1):
-        z = step(z, buffers[i % 2])  # reads one buffer, writes the other
-        if samples is not None and (i % sample_every == 0 or i == steps):
-            samples.append((i * dt, _padded(z)))
-    return _padded(z), samples
-
-
 def fixed_domain_periodic(
     params: ModelParams,
     interval_length: float,
@@ -322,13 +306,12 @@ def fixed_domain_periodic(
     _check_count("steps_per_period", steps_per_period, 1)
     _check_search(tol, max_periods)
     lam = principal_eigenvalue_monodromy(params, interval_length).lam
-    c2, c3 = density_bounds(params)
-
-    w0 = _padded(np.repeat([c2, c3], n - 1))
+    w0 = np.zeros((2, n + 1))
+    w0[0, 1:-1], w0[1, 1:-1] = density_bounds(params)
+    period = frozen_period_map(params, interval_length, n, steps_per_period)
 
     def period_map(w: np.ndarray) -> np.ndarray:  # the flat Newton vector: u, then v
-        image, _ = _imex_period(params, w.reshape(2, n + 1), interval_length, steps_per_period)
-        return image.ravel()
+        return period(w.reshape(2, n + 1))[0].ravel()
 
     state, residual, is_positive, periods = _fixed_point(
         period_map, w0.ravel(), tol, max_periods, "fixed-domain"
@@ -343,7 +326,7 @@ def fixed_domain_periodic(
     start = state.reshape(2, n + 1)
     if is_positive:  # sample the converged orbit over one period, ending at the pre-reset state
         every = max(1, steps_per_period // 8)
-        _, path = _imex_period(params, start, interval_length, steps_per_period, every)
+        _, path = period(start, every)
         ts, ws = zip(*path)
         t, (U, V) = np.array(ts), np.stack(ws, axis=1)
     else:

@@ -33,7 +33,7 @@ from .model import InitialData, ModelParams, density_bounds
 
 __all__ = [
     "SolverConfig", "Snapshot", "TimeSeries", "Trajectory",
-    "transform_step", "apply_impulse", "run", "imex_density_step", "frozen_step",
+    "transform_step", "apply_impulse", "run", "imex_density_step", "frozen_period_map",
 ]
 
 # Undershoot within this fraction of a species' sup-norm is rounding next to
@@ -115,7 +115,7 @@ def _front_velocities(
 
 class _Workspace:
     """The constants and buffers of the density kernel for one coefficient set,
-    dt and grid of n intervals, built once per trajectory (or per frozen map).
+    dt and grid of n intervals, built once per trajectory or per orbit's frozen period map.
 
     ``start(w)`` forms the explicit terms of a start state w: its interior
     rows, central differences and dt-scaled reactions.  Each stage then writes
@@ -205,24 +205,35 @@ def imex_density_step(
     return _padded(interior) if own else interior
 
 
-def frozen_step(params: ModelParams, dt: float, width: float, n: int):
-    """``imex_density_step(w, params, dt, 1/n, width)`` on the interior vector z of w (u then v),
-    bit for bit: the matrix is factored once (dpttrf), and ``step(z, out)`` skips the advection
-    term, whose velocities are 0, and solves z + dt * reactions in the buffer ``out`` (dpttrs)."""
-    dxi = 1.0 / n
+def frozen_period_map(params: ModelParams, width: float, n: int, steps: int):
+    """The frozen-interval period map: ``steps`` steps on n intervals of ``width``, with its
+    workspace, factored matrix (dpttrf) and two buffers built once.  ``period(w, every=0)``
+    resets the (2, n+1) densities w, then takes ``imex_density_step(w, params, tau/steps, 1/n,
+    width)`` bit for bit on the interior vector z (u then v): the advection term, whose velocities
+    are 0, is skipped, and z + dt * reactions is solved (dpttrs) from one buffer into the other.
+    Returns the fresh (2, n+1) image and, if ``every`` > 0, the (t, w) samples every ``every``
+    steps from 0+ and at tau (else None); ``w`` is left as it is."""
+    dt, dxi = params.tau / steps, 1.0 / n
     work = _Workspace(params, dt, n, dxi)
     diag, off = work.matrix(dt / (width * width * dxi * dxi))
     diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
+    buffers = np.empty(2 * (n - 1)), np.empty(2 * (n - 1))
 
-    def step(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        rows = z.reshape(2, -1)
-        work.reactions(rows, out.reshape(2, -1))
-        out += z  # addition commutes: the bits of z + reactions
-        return _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0], work)
+    def period(w: np.ndarray, every: int = 0):
+        z = np.concatenate((params.impulse(w[0, 1:-1]), w[1, 1:-1]))
+        samples = [(0.0, _padded(z))] if every else None
+        for i in range(1, steps + 1):
+            rows, out = z.reshape(2, -1), buffers[i % 2]
+            work.reactions(rows, out.reshape(2, -1))
+            out += z  # addition commutes: the bits of z + reactions
+            z = _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0], work)
+            if samples is not None and (i % every == 0 or i == steps):
+                samples.append((i * dt, _padded(z)))
+        return _padded(z), samples
 
-    return step
+    return period
 
 
 def _guarded(w: np.ndarray, interior: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -331,6 +342,10 @@ class Trajectory:
     ):
         if not (math.isfinite(t_end) and t_end > 0):
             raise PreconditionError(f"t_end must be finite and positive, got {t_end}")
+        if not all(0.0 <= s < math.inf for s in snapshot_times):
+            raise PreconditionError(
+                f"snapshot times must be finite and non-negative, got {snapshot_times}"
+            )
         self.params, self.cfg = params, cfg
         self.dt = params.tau / cfg.steps_per_period
         if not self.dt > 0:

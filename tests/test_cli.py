@@ -216,6 +216,8 @@ MALFORMED_FIELDS = [
     (("init",), {"kind": "tabulated", "path": "bad.json", "extra": 1.0}),
     (("run", "snapshot_time"), [5.0]),
     (("run", "out_dri"), "out"),
+    # a snapshot before the run began
+    (("run", "snapshot_times"), [-1.0]),
 ]
 
 

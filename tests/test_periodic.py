@@ -7,7 +7,7 @@ import scipy.integrate
 from scipy.linalg import expm
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from pulsefront import periodic
+from pulsefront import periodic, solver
 from pulsefront.eigen import lambda_infinity
 from pulsefront.errors import NumericalError, PreconditionError
 from pulsefront.model import (
@@ -18,14 +18,9 @@ from pulsefront.model import (
     SaturatingImpulse,
     density_bounds,
 )
-from pulsefront.periodic import (
-    _imex_period,
-    fixed_domain_periodic,
-    ode_period_map,
-    ode_periodic_orbit,
-)
+from pulsefront.periodic import fixed_domain_periodic, ode_period_map, ode_periodic_orbit
 from pulsefront.presets import base_params_a, base_params_cd
-from pulsefront.solver import imex_density_step
+from pulsefront.solver import frozen_period_map, imex_density_step
 
 U_STAR, V_STAR = 20.0 / 3.0, 4.0  # nullcline fixed point of the benchmark set
 
@@ -147,8 +142,27 @@ def test_positive_orbit_samples_end_at_the_pre_reset_state(steps):
     p = base_params_a()
     orbit = fixed_domain_periodic(p, 30.0, n=32, steps_per_period=steps)
     assert orbit.is_positive and orbit.t[-1] == p.tau
-    image, _ = _imex_period(p, orbit.start_pre_reset, 30.0, steps)
+    image, _ = frozen_period_map(p, 30.0, 32, steps)(orbit.start_pre_reset)
     assert np.array_equal(np.stack([orbit.U[-1], orbit.V[-1]]), image)
+
+
+@pytest.mark.parametrize("case", ["beverton-holt/identity", "linear/linear (zero)"])
+def test_fixed_domain_periodic_factors_its_matrix_once(params_benchmark, monkeypatch, case):
+    # the search's map evaluations and the report's samples share one map,
+    # built, and its matrix factored, once per call
+    calls = []
+    real = solver.dpttrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "dpttrf", counted)
+    changes, length = PDE_CASES[case]
+    orbit = fixed_domain_periodic(params_benchmark.with_(**changes), length, n=32,
+                                  steps_per_period=100)
+    assert orbit.is_positive == (case == "beverton-holt/identity")
+    assert orbit.periods > 1 and len(calls) == 1
 
 
 def test_fixed_domain_disinfected_zero(params_disinfected):
@@ -220,11 +234,8 @@ def test_fixed_domain_orbit_matches_picard_reference(params_benchmark, case):
     start = np.zeros((2, n + 1))
     start[0, 1:-1], start[1, 1:-1] = c2, c3
 
-    def period_map(w):
-        image, _ = _imex_period(p, w, length, steps)
-        return image
-
-    reference = _picard(period_map, start)
+    period = frozen_period_map(p, length, n, steps)
+    reference = _picard(lambda w: period(w)[0], start)
     assert orbit.is_positive == (np.max(reference) > 1e-6)
     assert np.max(np.abs(orbit.start_pre_reset - reference)) < 1e-8
 
@@ -298,8 +309,9 @@ def test_factored_period_map_equals_imex_steps(params_benchmark, case):
     c2, c3 = density_bounds(p)
     w = np.zeros((2, n + 1))
     w[0, 1:-1], w[1, 1:-1] = c2, c3
+    period = frozen_period_map(p, length, n, steps)
     for _ in range(3):  # the supersolution start and two images along the search
-        image, _ = _imex_period(p, w, length, steps)
+        image, _ = period(w)
         assert np.array_equal(_bits(image), _bits(_period_by_imex_steps(p, w, length, steps)))
         w = image
 
@@ -314,9 +326,10 @@ def test_factored_period_map_equals_imex_steps_through_a_clip(params_benchmark):
     w = np.array([np.sin(np.pi * xi), np.zeros(n + 1)])
     first = imex_density_step(w, p, p.tau / steps, 1.0 / n, length)
     assert np.all(first[0] == 0.0) and first[1].max() > 0.0
+    period = frozen_period_map(p, length, n, steps)
     for _ in range(3):
         assert w[0].max() > 0.0 and not w[1].any()
-        image, _ = _imex_period(p, w, length, steps)
+        image, _ = period(w)
         assert np.array_equal(_bits(image), _bits(_period_by_imex_steps(p, w, length, steps)))
         w = image.copy()
         w[1] = 0.0
@@ -336,10 +349,11 @@ def test_factored_period_map_alternates_its_buffers(params_disinfected, steps):
     p = params_disinfected
     w = _supersolution_start(p, 32)
     before = w.copy()
-    first, _ = _imex_period(p, w, 30.0, steps)
+    period = frozen_period_map(p, 30.0, 32, steps)
+    first, _ = period(w)
     assert np.array_equal(_bits(w), _bits(before))  # the input is left as it is
     assert np.array_equal(_bits(first), _bits(_period_by_imex_steps(p, w, 30.0, steps)))
-    second, _ = _imex_period(p, w, 30.0, steps)
+    second, _ = period(w)  # the same map again, on buffers its first call wrote
     assert np.array_equal(_bits(first), _bits(second)) and not np.shares_memory(first, second)
 
 
@@ -349,7 +363,8 @@ def test_factored_period_map_samples_its_steps(params_disinfected):
     # is the unsampled one
     p, n, steps, length = params_disinfected, 32, 10, 30.0
     w = _supersolution_start(p, n)
-    image, samples = _imex_period(p, w, length, steps, sample_every=3)
+    period = frozen_period_map(p, length, n, steps)
+    image, samples = period(w, every=3)
     dt = p.tau / steps
     state = w.copy()
     state[0] = p.impulse(state[0])
@@ -363,7 +378,7 @@ def test_factored_period_map_samples_its_steps(params_disinfected):
     for (_, got), (_, want) in zip(samples, expected):
         assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(image), _bits(state))
-    assert np.array_equal(_bits(image), _bits(_imex_period(p, w, length, steps)[0]))
+    assert np.array_equal(_bits(image), _bits(period(w)[0]))
     assert not any(np.shares_memory(a, b) for (_, a), (_, b) in itertools.combinations(samples, 2))
 
 

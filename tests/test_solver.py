@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pulsefront import solver
 from pulsefront.errors import ConfigurationError, NumericalError, PreconditionError
 from pulsefront.model import InitialData
-from pulsefront.presets import preset
+from pulsefront.presets import base_params_cd, preset
 from pulsefront.solver import (
     SolverConfig,
     Trajectory,
@@ -444,9 +444,10 @@ def test_each_step_calls_the_traced_kernels(params_disinfected, init_cos, monkey
 
 
 def test_frozen_step_reports_an_indefinite_matrix(params_benchmark):
-    # dt < 0 makes the frozen matrix indefinite; its one factorization says so
+    # steps = -1 gives dt = -tau: the frozen matrix is indefinite, and its one
+    # factorization, made when the map is built, says so
     with pytest.raises(NumericalError, match="dpttrf info="):
-        solver.frozen_step(params_benchmark, -1.0, 4.0, 32)
+        solver.frozen_period_map(params_benchmark, 4.0, 32, -1)
 
 
 def _guarded_by_rows(w, interior):
@@ -519,20 +520,30 @@ def test_guard_blames_the_decay_step_only_for_its_own_row(params_benchmark):
 
 
 def test_frozen_steps_between_two_buffers_clip_like_the_moving_kernel(params_benchmark):
-    # dt * a11 just above 1 and v = 0 before every step: each step leaves u a
-    # roundoff-size negative multiple of itself, clipped in the buffer it wrote
+    # dt * a11 just above 1 and v = 0 before every one-step period: each step
+    # leaves u a roundoff-size negative multiple of itself, clipped in the
+    # buffer it wrote; one map, and so one pair of buffers, serves all four
     n, dt, width = 32, 0.05, 30.0
-    p = params_benchmark.with_(a11=(1.0 + 1e-13) / dt)
-    step = solver.frozen_step(p, dt, width, n)
-    buffers = np.empty(2 * (n - 1)), np.empty(2 * (n - 1))
+    p = params_benchmark.with_(tau=dt, a11=(1.0 + 1e-13) / dt)
+    period = solver.frozen_period_map(p, width, n, 1)
     w = np.array([np.sin(np.pi * np.linspace(0.0, 1.0, n + 1)), np.zeros(n + 1)])
     w[0, -1] = 0.0
-    z = w[:, 1:-1].flatten()
-    for i in range(4):
-        w[0, 1:-1] += 1.0  # fresh u, so every step undershoots
-        z[: n - 1] += 1.0
-        w[1], z[n - 1:] = 0.0, 0.0
+    image = w.copy()
+    for _ in range(4):
+        for state in (w, image):
+            state[0, 1:-1] += 1.0  # fresh u, so every step undershoots
+            state[1] = 0.0
         w = imex_density_step(w, p, dt, 1.0 / n, width)
-        z = step(z, buffers[i % 2])
-        assert z is buffers[i % 2] and not w[0].any() and w[1].max() > 0.0
-        assert np.array_equal(z.view(np.uint64), w[:, 1:-1].ravel().view(np.uint64))
+        image, _ = period(image)
+        assert not w[0].any() and w[1].max() > 0.0
+        assert np.array_equal(image.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("times", [(-5.0, -1.0, 2.0), (2.0, float("nan")), (float("inf"),)])
+def test_snapshot_times_must_be_finite_and_non_negative(init_cos, times):
+    # a time before the run began came back as a copy of the start state labelled t = 0
+    p, cfg = base_params_cd(1.0), SolverConfig(n=16, steps_per_period=10)
+    with pytest.raises(PreconditionError, match="snapshot times must be finite and non-negative"):
+        run(p, init_cos, cfg, 5.0, snapshot_times=times)
+    # a time past t_end is dropped, as a shortened simulate relies on
+    assert [s.t for s in run(p, init_cos, cfg, 5.0, (0.0, 2.0, 9.0)).snapshots] == [0.0, 2.0]
