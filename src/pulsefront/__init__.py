@@ -12,15 +12,10 @@ from .classify import (
 )
 from .eigen import (
     EigenReport,
-    RobinEigenReport,
     dirichlet_lambda0,
-    eigenfunction_envelope_bounds,
     lambda_at_h0,
-    lambda_front,
     lambda_infinity,
-    principal_eigenvalue_closed_form,
     principal_eigenvalue_monodromy,
-    robin_eigen,
 )
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import (

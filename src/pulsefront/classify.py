@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .eigen import _bisect, lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
+from .eigen import lambda_at_h0, lambda_infinity, principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
 from .model import IdentityImpulse, InitialData, LinearImpulse, ModelParams
 from .solver import SolverConfig, TimeSeries, Trajectory
@@ -122,6 +122,18 @@ def classify_analytic(params: ModelParams) -> Classification:
         verdict = Verdict.THRESHOLD_DEPENDENT
         critical = critical_length(params)
     return Classification(verdict, lam_inf, lam_h0, critical)
+
+
+def _bisect(above, lo: float, hi: float) -> float:
+    """Root in [lo, hi], where ``above(x)`` says it lies above x, to adjacent floats."""
+    mid = 0.5 * lo + 0.5 * hi
+    while lo < mid < hi:
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
 
 
 def critical_length(params: ModelParams) -> float:

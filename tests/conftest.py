@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pulsefront.classify as classify
 from pulsefront.model import (
     BevertonHoltGrowth,
     IdentityImpulse,
@@ -10,6 +11,12 @@ from pulsefront.model import (
     ModelParams,
     SaturatingImpulse,
 )
+from pulsefront.presets import base_params_cd
+from pulsefront.solver import SolverConfig
+
+# acceptance criterion 10's search, as (search, mu2, n, steps per period,
+# bracket, tol, t_end); the certificate test runs it too
+CRITERION10_SEARCH = ("mu2", 1.0, 256, 1000, (1.0, 10.0), 0.3, None)
 
 
 @pytest.fixture
@@ -47,3 +54,32 @@ def random_valid_params(rng: np.random.Generator, interval=True):
     if not interval:
         return p
     return p, float(rng.uniform(1.0, 100.0))
+
+
+def certified_search(search, mu2, n, steps, bracket, tol, t_end):
+    """A threshold search on base_params_cd(mu2) from cos-quarter(2, 0.3, 0.1)
+    with the vanishing certificate spied on; returns the ThresholdResult and
+    the trajectories the certificate stopped."""
+    certified = []
+    real_certificate = classify._vanishing_certificate
+
+    def spied_certificate(traj, params, upper):
+        certificate = real_certificate(traj, params, upper)
+        if certificate is not None:
+            certified.append(traj)
+        return certificate
+
+    params, init = base_params_cd(mu2), InitialData.cos_quarter(2.0, 0.3, 0.1)
+    find = classify.find_mu_threshold if search == "mu2" else classify.find_kappa_threshold
+    cfg = SolverConfig(n=n, steps_per_period=steps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_vanishing_certificate", spied_certificate)
+        result = find(params, init, cfg, bracket, tol, t_end=t_end)
+    return result, certified
+
+
+@pytest.fixture(scope="session")
+def criterion10_search():
+    """Criterion 10's search, run once a session for both tests that read it;
+    the certificate test advances the certified trajectories in place."""
+    return certified_search(*CRITERION10_SEARCH)

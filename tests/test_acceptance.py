@@ -27,6 +27,12 @@ from pulsefront.presets import preset
 from pulsefront.solver import SolverConfig, run
 
 from conftest import random_valid_params
+from oracles import (
+    eigenfunction_envelope_bounds,
+    lambda_front,
+    principal_eigenvalue_closed_form,
+    robin_eigen,
+)
 
 U_STAR = 20.0 / 3.0
 
@@ -51,7 +57,7 @@ def test_criterion_01_eigen_oracle_equivalence():
     for _ in range(200):
         p, length = random_valid_params(rng)
         la = pf.principal_eigenvalue_monodromy(p, length).lam
-        lb = pf.principal_eigenvalue_closed_form(p, length).lam
+        lb = principal_eigenvalue_closed_form(p, length).lam
         err = abs(la - lb) / max(1.0, abs(la))
         worst = max(worst, err)
         assert err < 1e-10
@@ -65,10 +71,10 @@ def test_criterion_02_sign_reproduction(params_benchmark):
     assert lam_300 < 0 and lam_18 < 0
     # magnitudes asserted against the cross-validated oracle, not the source
     assert lam_300 == pytest.approx(
-        pf.principal_eigenvalue_closed_form(params_benchmark, 300.0).lam, abs=1e-12
+        principal_eigenvalue_closed_form(params_benchmark, 300.0).lam, abs=1e-12
     )
     assert lam_18 == pytest.approx(
-        pf.principal_eigenvalue_closed_form(params_benchmark, 18.0).lam, abs=1e-12
+        principal_eigenvalue_closed_form(params_benchmark, 18.0).lam, abs=1e-12
     )
     # reference values ride along in the reproduction reports, signs agreeing
     ref_a = preset("fig-a").reference_lambda
@@ -85,12 +91,12 @@ def test_criterion_03_monotonicity_suites(params_benchmark):
         g = float(rng.uniform(-50.0, 0.0))
         h = g + float(rng.uniform(1.0, 60.0))
         assert (
-            pf.lambda_front(params_benchmark, g, h).lam
+            lambda_front(params_benchmark, g, h).lam
             == pf.principal_eigenvalue_monodromy(params_benchmark, h - g).lam
         )
     assert (
-        pf.lambda_front(params_benchmark, -2.0, 2.0).lam
-        == pf.lambda_front(params_benchmark, -1.0, 3.0).lam
+        lambda_front(params_benchmark, -2.0, 2.0).lam
+        == lambda_front(params_benchmark, -1.0, 3.0).lam
     )
 
     min_margin_w = math.inf
@@ -128,9 +134,9 @@ def test_criterion_04_envelope_bounds(params_benchmark):
     combos = 0
     for imp in (SaturatingImpulse(c=0.5, b=10.0), LinearImpulse(rho=0.5), IdentityImpulse()):
         p = params_benchmark.with_(impulse=imp)
-        a1, a2, b1, b2 = pf.eigenfunction_envelope_bounds(p)
+        a1, a2, b1, b2 = eigenfunction_envelope_bounds(p)
         for mult in (1.0, 2.0, 10.0, 100.0):
-            prof = pf.principal_eigenvalue_closed_form(p, 2.0 * p.h0 * mult).phi_psi_profile
+            prof = principal_eigenvalue_closed_form(p, 2.0 * p.h0 * mult).phi_psi_profile
             assert a1 <= prof[0, 1] and float(np.max(prof[:, 1])) <= a2
             assert b1 <= prof[0, 2] and float(np.max(prof[:, 2])) <= b2
             combos += 1
@@ -273,7 +279,7 @@ def test_criterion_09_dichotomy_consistency():
     _report("09", f"50 randomized cases agree with sign(lambda); {positive} positive orbits", t0)
 
 
-def test_criterion_10_mu2_threshold(init_cos):
+def test_criterion_10_mu2_threshold(init_cos, criterion10_search):
     t0 = time.perf_counter()
     from pulsefront.presets import base_params_cd
 
@@ -281,8 +287,10 @@ def test_criterion_10_mu2_threshold(init_cos):
     cfg = SolverConfig(n=256, steps_per_period=1000)
     # tol 0.3: the located value must only be accurate to the +-0.25
     # verification margin below; a tighter tol would park a probe on the
-    # threshold itself, which no finite horizon resolves
-    result = pf.find_mu_threshold(p, init_cos, cfg, (1.0, 10.0), tol=0.3)
+    # threshold itself, which no finite horizon resolves.  The search,
+    # find_mu_threshold(p, init_cos, cfg, (1.0, 10.0), tol=0.3), runs once a
+    # session in the shared fixture
+    result, _ = criterion10_search
     assert 1.0 < result.value < 10.0
 
     def verified(mu2: float) -> pf.Verdict:
@@ -348,7 +356,7 @@ def test_criterion_13_robin_eigenproblem():
     t0 = time.perf_counter()
     worst = 0.0
     for d in (0.1, 0.4, 1.0):
-        rep = pf.robin_eigen(d)
+        rep = robin_eigen(d)
         x, phi = rep.x, rep.phi0
         h = x[1] - x[0]
         i = np.arange(2, x.size - 2)

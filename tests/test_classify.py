@@ -23,6 +23,8 @@ from pulsefront.model import (
 from pulsefront.solver import SolverConfig, TimeSeries, Trajectory, run
 from pulsefront.presets import base_params_cd
 
+from conftest import CRITERION10_SEARCH, certified_search
+
 
 def _series(t, g, h, su, sv):
     return TimeSeries(t=np.asarray(t, float), g=np.asarray(g, float), h=np.asarray(h, float),
@@ -503,29 +505,20 @@ def _benchmark_bracket(seed):
         # test_kappa_threshold_end_to_end
         ("kappa", 2.0, 96, 400, (0.01, 20.0), 6.0, 150.0),
         # criterion 10 and README's weak.json
-        ("mu2", 1.0, 256, 1000, (1.0, 10.0), 0.3, None),
+        CRITERION10_SEARCH,
     ],
     ids=["benchmark-seed1", "benchmark-seed7", "cli-tol3", "cli-tol0.3", "kappa", "criterion10"],
 )
-def test_certificate_stops_reach_vanishing(monkeypatch, search, mu2, n, steps, bracket, tol, t_end):
+def test_certificate_stops_reach_vanishing(request, search, mu2, n, steps, bracket, tol, t_end):
     # every probe the certificate stops vanishes by detect_outcome too, run on
     # to its horizon or, where Undecided there, to the doubled one, the
     # trajectory's last step
-    import pulsefront.classify as classify
-
-    certified = []
-    real_certificate = classify._vanishing_certificate
-
-    def spied_certificate(traj, params, upper):
-        certificate = real_certificate(traj, params, upper)
-        if certificate is not None:
-            certified.append(traj)
-        return certificate
-
-    monkeypatch.setattr(classify, "_vanishing_certificate", spied_certificate)
-    params, init = base_params_cd(mu2), InitialData.cos_quarter(2.0, 0.3, 0.1)
-    find = find_mu_threshold if search == "mu2" else find_kappa_threshold
-    find(params, init, SolverConfig(n=n, steps_per_period=steps), bracket, tol, t_end=t_end)
+    case = (search, mu2, n, steps, bracket, tol, t_end)
+    if case == CRITERION10_SEARCH:
+        _, certified = request.getfixturevalue("criterion10_search")
+    else:
+        _, certified = certified_search(*case)
+    params = base_params_cd(mu2)
     assert certified
     horizon = 40.0 * params.tau if t_end is None else t_end
     for traj in certified:

@@ -6,18 +6,20 @@ import pytest
 
 from pulsefront.eigen import (
     dirichlet_lambda0,
-    eigenfunction_envelope_bounds,
     lambda_at_h0,
-    lambda_front,
     lambda_infinity,
-    principal_eigenvalue_closed_form,
     principal_eigenvalue_monodromy,
-    robin_eigen,
 )
 from pulsefront.errors import NumericalError, PreconditionError
 from pulsefront.model import IdentityImpulse, LinearImpulse, SaturatingImpulse
 
 from conftest import random_valid_params
+from oracles import (
+    eigenfunction_envelope_bounds,
+    lambda_front,
+    principal_eigenvalue_closed_form,
+    robin_eigen,
+)
 
 # larger eigenvalue of [[-0.3, 0.5], [0.1, -0.1]] is (-0.4 + sqrt(0.24))/2
 LAM_INF_BENCHMARK = -(-0.4 + math.sqrt(0.24)) / 2.0
