@@ -39,7 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlartg
 
 from .eigen import principal_eigenvalue_monodromy
 from .errors import NumericalError, PreconditionError
@@ -179,6 +178,8 @@ def _gmres(matvec, b: np.ndarray, rtol: float, atol: float) -> np.ndarray:
     leaves out scipy's closing product b - A x, which only sets an info flag
     and costs one more period map; a test holds the two equal bit for bit.
     """
+    from scipy.linalg.lapack import dlartg  # deferred: scipy.linalg costs ~240 ms to import
+
     n = b.size
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), float(rtol) * float(bnrm2))

@@ -9,9 +9,10 @@ xi = (x - g)/(h - g), which turns front motion into an advection term:
 Front speeds come first each step from one-sided second-order gradients of
 the current profiles (the accuracy bottleneck of the whole scheme), the
 fronts advance by Heun, and the densities then take an IMEX step:
-diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv), advection
-and reactions explicit.  The densities are one (2, n+1) array w (rows U, V)
-that one block-diagonal dptsv call advances.  A trajectory builds the
+diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv, imported
+when a workspace is built), advection and reactions explicit.  The
+densities are one (2, n+1) array w (rows U, V) that one block-diagonal
+dptsv call advances.  A trajectory builds the
 kernel's constants and buffers once, in a workspace, so a step allocates
 little beyond the state it keeps.  Disinfection resets u <- G(u) pointwise
 at every multiple of tau; the k = 0 reset at t = 0+ is applied too.
@@ -26,7 +27,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs, dptsv
 
 from .errors import ConfigurationError, NumericalError, PreconditionError
 from .model import InitialData, ModelParams, density_bounds
@@ -39,6 +39,10 @@ __all__ = [
 # Undershoot within this fraction of a species' sup-norm is rounding next to
 # the zero boundary values and is clipped; more means the scheme has failed.
 CLIP_TOL = 1e-12
+
+# The bits of +inf as an unsigned integer: +0.0 and every positive finite
+# double lie below it; negatives, -0.0, infinities and NaNs at or above it.
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -120,20 +124,25 @@ class _Workspace:
     ``start(w)`` forms the explicit terms of a start state w: its interior
     rows, central differences and dt-scaled reactions.  Each stage then writes
     its advection coefficients, matrix and right-hand side into the buffers and
-    solves in place, so a stage's solution lives in ``rhs`` until the next
-    stage overwrites it.
+    solves in place with the LAPACK ``dptsv`` it holds, so a stage's solution
+    lives in ``rhs`` until the next stage overwrites it.  ``reactions`` forms
+    the decay terms in a buffer of its own, so it allocates only f(u).
     """
 
     def __init__(self, params: ModelParams, dt: float, n: int, dxi: float):
+        # deferred, and held here so a stage does not pay the import statement:
+        # scipy.linalg costs ~240 ms to import, and validate, eigen and classify solve nothing
+        from scipy.linalg.lapack import dptsv
+
         m = n - 1
-        self.params, self.dt, self.m = params, dt, m
+        self.params, self.dt, self.m, self.dptsv = params, dt, m, dptsv
         self.xi = np.arange(1, n) * dxi  # interior nodes
         self.dt_a12 = dt * params.a12
         self.decay = np.array([[dt * params.a11], [params.a22]])
         mat = np.empty(4 * m - 1)  # the diagonal, then the off-diagonal, of both blocks
         self.diag, self.off = mat[: 2 * m], mat[2 * m :]
         self.blocks = mat[:m], mat[m : 2 * m], mat[2 * m : 3 * m - 1], mat[3 * m :]
-        self.diff, self.react = np.empty((2, m)), np.empty((2, m))
+        self.diff, self.react, self.decayed = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
         self.adv, self.rhs = np.empty(m), np.empty(2 * m)
         self.rhs_rows = self.rhs.reshape(2, m)
 
@@ -149,7 +158,7 @@ class _Workspace:
         interior rows x = (u, v), bit for bit, written to ``out``."""
         np.multiply(self.dt_a12, x[1], out[0])
         out[1] = self.params.growth(x[0])
-        out -= x * self.decay
+        out -= np.multiply(x, self.decay, out=self.decayed)
         out[1] *= self.dt
         return out
 
@@ -196,7 +205,7 @@ def imex_density_step(
     rhs += work.react
     diffusion = dt / (width_new * width_new * dxi * dxi)
     diag, off = work.matrix(diffusion)
-    _, _, interior, info = dptsv(diag, off, work.rhs, 1, 1, 1)  # overwrite d, e and b
+    _, _, interior, info = work.dptsv(diag, off, work.rhs, 1, 1, 1)  # overwrite d, e and b
     if info != 0:
         name, d = ("u", params.d1) if info <= work.m else ("v", params.d2)
         r = diffusion * d
@@ -207,40 +216,52 @@ def imex_density_step(
 
 def frozen_period_map(params: ModelParams, width: float, n: int, steps: int):
     """The frozen-interval period map: ``steps`` steps on n intervals of ``width``, with its
-    workspace, factored matrix (dpttrf) and two buffers built once.  ``period(w, every=0)``
-    resets the (2, n+1) densities w, then takes ``imex_density_step(w, params, tau/steps, 1/n,
-    width)`` bit for bit on the interior vector z (u then v): the advection term, whose velocities
-    are 0, is skipped, and z + dt * reactions is solved (dpttrs) from one buffer into the other.
-    Returns the fresh (2, n+1) image and, if ``every`` > 0, the (t, w) samples every ``every``
-    steps from 0+ and at tau (else None); ``w`` is left as it is."""
+    workspace, factored matrix (dpttrf) and two buffers built once, each with its flat vector,
+    (2, n-1) rows view and uint64 bits view.  ``period(w, every=0)`` writes the reset densities
+    w into buffer 0, then takes ``imex_density_step(w, params, tau/steps, 1/n, width)`` bit for
+    bit on the interior vector z (u then v): the advection term, whose velocities are 0, is
+    skipped, and step i solves z + dt * reactions (dpttrs) from buffer (i-1) % 2 into buffer
+    i % 2, where the guards' one-reduction test runs inline.  Returns the fresh (2, n+1) image
+    and, if ``every`` > 0, the (t, w) samples every ``every`` steps from 0+ and at tau (else
+    None); ``w`` is left as it is."""
+    from scipy.linalg.lapack import dpttrf, dpttrs  # deferred, as in _Workspace
+
     dt, dxi = params.tau / steps, 1.0 / n
     work = _Workspace(params, dt, n, dxi)
     diag, off = work.matrix(dt / (width * width * dxi * dxi))
     diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
-    buffers = np.empty(2 * (n - 1)), np.empty(2 * (n - 1))
+    flat = np.empty(2 * (n - 1)), np.empty(2 * (n - 1))
+    rows = flat[0].reshape(2, -1), flat[1].reshape(2, -1)
+    bits = flat[0].view(np.uint64), flat[1].view(np.uint64)
 
     def period(w: np.ndarray, every: int = 0):
-        z = np.concatenate((params.impulse(w[0, 1:-1]), w[1, 1:-1]))
-        samples = [(0.0, _padded(z))] if every else None
+        rows[0][0] = params.impulse(w[0, 1:-1])
+        rows[0][1] = w[1, 1:-1]
+        samples = [(0.0, _padded(flat[0]))] if every else None
         for i in range(1, steps + 1):
-            rows, out = z.reshape(2, -1), buffers[i % 2]
-            work.reactions(rows, out.reshape(2, -1))
-            out += z  # addition commutes: the bits of z + reactions
-            z = _guarded(rows, dpttrs(diag, off, out, overwrite_b=1)[0], work)
+            old, new = 1 - i % 2, i % 2
+            out = flat[new]
+            work.reactions(rows[old], rows[new])
+            out += flat[old]  # addition commutes: the bits of z + reactions
+            dpttrs(diag, off, out, overwrite_b=1)  # solves in place
+            if not np.maximum.reduce(bits[new]) < _INF_BITS:
+                _guarded(rows[old], out, work)
             if samples is not None and (i % every == 0 or i == steps):
-                samples.append((i * dt, _padded(z)))
-        return _padded(z), samples
+                samples.append((i * dt, _padded(out)))
+        return _padded(flat[steps % 2]), samples
 
     return period
 
 
 def _guarded(w: np.ndarray, interior: np.ndarray, work: _Workspace) -> np.ndarray:
     """``interior`` (u then v) after the finite and undershoot guards against the rows ``w`` of its
-    start state, clipped in place; most pass on one whole-vector min and max (NaN fails both).
-    An undershoot of a row whose explicit decay step dt*a is at least 1 is a configuration error."""
-    if np.minimum.reduce(interior) >= 0.0 and math.isfinite(np.maximum.reduce(interior)):
+    start state, clipped in place.  Most pass on one whole-vector reduction: the largest bit pattern
+    lies below that of +inf only when every entry is +0.0 or positive and finite; any other vector
+    goes on to the row checks.  An undershoot of a row whose explicit decay step dt*a is at least 1
+    is a configuration error."""
+    if np.maximum.reduce(interior.view(np.uint64)) < _INF_BITS:
         return interior
     rows = interior.reshape(2, -1)
     for row, (name, low, high) in enumerate(zip("uv", rows.min(axis=1), rows.max(axis=1))):

@@ -1,12 +1,17 @@
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pulsefront
+from pulsefront.config import config_to_json_dict
+from pulsefront.presets import preset
 
 
 def test_every_exported_name_resolves():
@@ -20,14 +25,15 @@ def test_every_exported_name_resolves():
         assert not missing, f"pulsefront.{info.name}.__all__ names undefined {missing}"
 
 
-def _heavy_modules_loaded(module: str) -> str:
+def _heavy_modules_loaded(module: str, then: str = "") -> str:
     # each costs tens to hundreds of ms of startup; only the ODE orbit defers
-    # to scipy.integrate, and nothing needs scipy.optimize or scipy.sparse
-    heavy = "{'scipy.optimize', 'scipy.integrate', 'scipy.sparse'}"
-    code = f"import sys, {module}; print(sorted({heavy} & set(sys.modules)))"
+    # to scipy.integrate, only a solve to scipy.linalg (for LAPACK), and
+    # nothing needs scipy.optimize or scipy.sparse
+    heavy = "{'scipy.optimize', 'scipy.integrate', 'scipy.sparse', 'scipy.linalg'}"
+    code = f"import sys, {module}\n{then}\nprint(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(pulsefront.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    return out.stdout.strip()
+    return out.stdout.strip().splitlines()[-1]
 
 
 def test_cli_import_loads_no_optimize_or_integrate():
@@ -37,6 +43,16 @@ def test_cli_import_loads_no_optimize_or_integrate():
 def test_package_import_loads_no_optimize_integrate_or_sparse():
     # the package imports periodic, whose frozen-interval kernel lives in solver
     assert _heavy_modules_loaded("pulsefront") == "[]"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["eigen", "--interval", "4"], ["classify"]],
+                         ids=["validate", "eigen", "classify"])
+def test_commands_that_solve_nothing_load_no_lapack(tmp_path, command):
+    # fig-c is threshold dependent, so classify bisects for the critical length too
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config_to_json_dict(preset("fig-c").config)))
+    then = f"assert pulsefront.cli.main({[*command, '--config', str(path)]!r}) == 0"
+    assert _heavy_modules_loaded("pulsefront.cli", then) == "[]"
 
 
 def test_every_benchmark_span_target_resolves():

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from pulsefront import periodic, solver
+from pulsefront import periodic
 from pulsefront.eigen import lambda_infinity
 from pulsefront.errors import NumericalError, PreconditionError
 from pulsefront.model import (
@@ -149,15 +149,16 @@ def test_positive_orbit_samples_end_at_the_pre_reset_state(steps):
 @pytest.mark.parametrize("case", ["beverton-holt/identity", "linear/linear (zero)"])
 def test_fixed_domain_periodic_factors_its_matrix_once(params_benchmark, monkeypatch, case):
     # the search's map evaluations and the report's samples share one map,
-    # built, and its matrix factored, once per call
+    # built, and its matrix factored, once per call; the map imports dpttrf
+    # from LAPACK's module when it is built, so the counter is installed there
     calls = []
-    real = solver.dpttrf
+    real = lapack.dpttrf
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "dpttrf", counted)
+    monkeypatch.setattr(lapack, "dpttrf", counted)
     changes, length = PDE_CASES[case]
     orbit = fixed_domain_periodic(params_benchmark.with_(**changes), length, n=32,
                                   steps_per_period=100)
@@ -380,6 +381,32 @@ def test_factored_period_map_samples_its_steps(params_disinfected):
     assert np.array_equal(_bits(image), _bits(state))
     assert np.array_equal(_bits(image), _bits(period(w)[0]))
     assert not any(np.shares_memory(a, b) for (_, a), (_, b) in itertools.combinations(samples, 2))
+
+
+def test_factored_period_map_returns_arrays_it_does_not_own(params_disinfected):
+    # one map on two starts, with sampled calls between: each image and sample
+    # equals a freshly built map's, and no returned array shares memory with
+    # another, with an input or with a later call's, since the map's buffers
+    # are rewritten from the reset state on every call
+    p, n, steps, length = params_disinfected, 32, 7, 30.0
+    upper = _supersolution_start(p, n)
+    starts = upper, 0.5 * upper
+    before = [w.copy() for w in starts]
+    period = frozen_period_map(p, length, n, steps)
+    returned = []
+    for w, every in [(starts[0], 0), (starts[1], 3), (starts[0], 2), (starts[1], 0)]:
+        image, samples = period(w, every)
+        fresh_image, fresh_samples = frozen_period_map(p, length, n, steps)(w, every)
+        assert np.array_equal(_bits(image), _bits(fresh_image))
+        assert (samples is None) == (fresh_samples is None) == (every == 0)
+        for (t, got), (fresh_t, want) in zip(samples or (), fresh_samples or (), strict=True):
+            assert t == fresh_t and np.array_equal(_bits(got), _bits(want))
+        returned += [image, *(s for _, s in samples or ())]
+    assert len(returned) == 4 + 4 + 5  # 4 images; samples at 0, 3, 6, 7 and 0, 2, 4, 6, 7
+    for w, old in zip(starts, before):
+        assert np.array_equal(_bits(w), _bits(old))
+    arrays = [*starts, *returned]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
 
 def test_factored_period_map_nonfinite_is_numerical_error():

@@ -1,6 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pulsefront import solver
@@ -473,11 +475,12 @@ def _guarded_by_rows(w, interior):
 # so every undershoot beyond the tolerance is a scheme failure, as in the oracle
 _GUARD_WORK = solver._Workspace(preset("fig-a").config.model, 0.05, 8, 1.0 / 8)
 
-# an interior entry: a signed zero, the least negative float, a density, or
-# k * CLIP_TOL * sup of its start row for k in [-3, 3], i.e. an undershoot
-# inside or beyond the tolerance; then maybe one entry made NaN or infinite
+# an interior entry: a signed zero, the least float of either sign, the
+# largest float, a density, or k * CLIP_TOL * sup of its start row for k in
+# [-3, 3], i.e. an undershoot inside or beyond the tolerance; then maybe one
+# entry made infinite or NaN of either sign (-nan has its sign bit set)
 _ENTRY = st.one_of(
-    st.sampled_from([0.0, -0.0, -5e-324]).map(lambda x: (x, 0.0)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max]).map(lambda x: (x, 0.0)),
     st.floats(0.0, 1e3).map(lambda x: (x, 0.0)),
     st.floats(-3.0, 3.0).map(lambda k: (0.0, k)),
 )
@@ -486,11 +489,17 @@ _ENTRY = st.one_of(
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
     st.lists(st.floats(0.0, 1e3) | st.just(-0.0), min_size=2 * (n + 1), max_size=2 * (n + 1)),
     st.lists(_ENTRY, min_size=2 * (n - 1), max_size=2 * (n - 1)),
-    st.none() | st.tuples(st.integers(0, 2 * n - 3), st.sampled_from([np.nan, np.inf, -np.inf])))))
+    st.none() | st.tuples(st.integers(0, 2 * n - 3), st.sampled_from([np.nan, -np.nan, np.inf, -np.inf])))))
+# the fast path's edge, next to positive finite entries: +inf is the least bit
+# pattern that fails it, -nan the largest, and the largest float still passes
+@example(([1.0] * 6, [(1.0, 0.0), (sys.float_info.max, 0.0)], (0, np.inf)))
+@example(([1.0] * 6, [(5e-324, 0.0), (1.0, 0.0)], (1, -np.nan)))
+@example(([1.0] * 6, [(5e-324, 0.0), (sys.float_info.max, 0.0)], None))
 @settings(max_examples=300, deadline=None)
 def test_guard_fast_path_matches_row_checks(drawn):
-    # one whole-vector min and max decide whether the row checks run at all;
-    # the result, the in-place clip and the error message must be the rows' own
+    # one whole-vector max of the bit patterns decides whether the row checks
+    # run at all; the result, the in-place clip and the error message must be
+    # the rows' own
     start, entries, nonfinite = drawn
     w = np.array(start).reshape(2, -1)
     sup = np.repeat(w.max(axis=1), w.shape[1] - 2)
