@@ -37,7 +37,6 @@ from .solver import (
     Trajectory,
     apply_impulse,
     run,
-    transform_step,
 )
 
 __version__ = "0.1.0"

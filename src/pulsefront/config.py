@@ -210,10 +210,10 @@ def parse_config_dict(doc: dict, base_dir: Path | None = None) -> RunConfig:
 
 def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"configuration file not found: {path}")
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ConfigurationError(f"configuration file {path} cannot be read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"configuration parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -455,4 +455,9 @@ def density_bounds(params: ModelParams, densities: np.ndarray | None = None) -> 
             raise ConfigurationError(
                 f"{fn.kind} {role} ({constants}) overflows at the density bound C2={M:.6g}"
             )
-    return M, params.a11 * M / (params.a12 + eps)
+    c3 = params.a11 * M / (params.a12 + eps)
+    if not math.isfinite(c3):
+        raise ConfigurationError(
+            f"no uniform density bound: C3 = a11*C2/(a12 + eps) overflows at C2={M:.6g}"
+        )
+    return M, c3

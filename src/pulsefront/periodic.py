@@ -21,9 +21,7 @@ directions plus one for the new iterate.  For a monotone concave map the
 Newton iterate from above lies in the order interval [w*, P(w)], so each
 iterate is projected onto [0, P(w)]: the projection only absorbs roundoff
 and difference error, and the search stays above the largest fixed point
-instead of landing on the zero orbit when a positive one exists.  A start
-below the orbit (a subsolution, P(w) >= w) is held at or above P(w)
-instead, for the same reason.
+instead of landing on the zero orbit when a positive one exists.
 
 The limit is either the zero state or the unique positive periodic orbit;
 which one occurs is dictated by the sign of the interval's principal
@@ -145,7 +143,7 @@ def _fixed_point(period_map, w: np.ndarray, tol: float, max_periods: int, what: 
 
 
 def _newton_iterate(P, w: np.ndarray, pw: np.ndarray, tol: float) -> np.ndarray:
-    """Newton iterate for P(w) - w = 0, projected onto the order interval beyond P(w)."""
+    """Newton iterate for P(w) - w = 0, projected onto the order interval [0, P(w)]."""
     f = pw - w
     h = FD_STEP * float(np.abs(w).max())
 
@@ -164,8 +162,6 @@ def _newton_iterate(P, w: np.ndarray, pw: np.ndarray, tol: float) -> np.ndarray:
         return x - (P(w + eps * up) - P(w + eps * down)) / eps
 
     delta = _gmres(defect_jvp, f, GMRES_RTOL, GMRES_ATOL * tol)
-    if f.min() >= 0.0:  # a start below the orbit: at least as far up as P(w)
-        return np.maximum(w + delta, pw)
     return np.clip(w + delta, 0.0, pw)
 
 
@@ -251,28 +247,21 @@ def ode_period_map(params: ModelParams, state: tuple[float, float]) -> tuple[flo
 
 
 def ode_periodic_orbit(
-    params: ModelParams,
-    tol: float = 1e-9,
-    max_periods: int = 100_000,
-    start: tuple[float, float] | None = None,
+    params: ModelParams, tol: float = 1e-9, max_periods: int = 100_000
 ) -> PeriodicOrbit:
     """Homogeneous periodic attractor as the fixed point of the period map.
 
-    Starts at the supersolution constants (C2, C3) unless ``start`` is given,
-    so the search approaches from above.  Collapse below ``tol`` in norm is
-    classified as the zero orbit.  ``max_periods`` caps the evaluations of
-    ``ode_period_map``.
+    Starts at the supersolution constants (C2, C3), so the search approaches
+    from above.  Collapse below ``tol`` in norm is classified as the zero
+    orbit.  ``max_periods`` caps the evaluations of ``ode_period_map``.
     """
     _check_search(tol, max_periods)
-    w0 = density_bounds(params) if start is None else (float(start[0]), float(start[1]))
-    if not all(math.isfinite(c) and c >= 0.0 for c in w0):
-        raise PreconditionError(f"start must be finite and non-negative, got {w0}")
 
     def period_map(w: np.ndarray) -> np.ndarray:
         return np.array(ode_period_map(params, (w[0], w[1])))
 
     state, residual, is_positive, periods = _fixed_point(
-        period_map, np.array(w0, dtype=float), tol, max_periods, "homogeneous"
+        period_map, np.array(density_bounds(params)), tol, max_periods, "homogeneous"
     )
     t = np.linspace(0.0, params.tau, 201)
     if is_positive:  # resample one period of the converged orbit for the report

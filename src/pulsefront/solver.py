@@ -12,10 +12,11 @@ fronts advance by Heun, and the densities then take an IMEX step:
 diffusion implicit via an SPD tridiagonal solve (LAPACK dptsv, imported
 when a workspace is built), advection and reactions explicit.  The
 densities are one (2, n+1) array w (rows U, V) that one block-diagonal
-dptsv call advances.  A trajectory builds the
-kernel's constants and buffers once, in a workspace, so a step allocates
-little beyond the state it keeps.  Disinfection resets u <- G(u) pointwise
-at every multiple of tau; the k = 0 reset at t = 0+ is applied too.
+dptsv call advances.  A trajectory builds the kernel's coefficients, dt,
+grid and buffers once, in a workspace that every step and stage runs on,
+so a step allocates little beyond the state it keeps.  Disinfection resets
+u <- G(u) pointwise at every multiple of tau; the k = 0 reset at t = 0+ is
+applied too.
 
 Runs are deterministic: identical inputs give bit-identical outputs.
 """
@@ -33,7 +34,7 @@ from .model import InitialData, ModelParams, density_bounds
 
 __all__ = [
     "SolverConfig", "Snapshot", "TimeSeries", "Trajectory",
-    "transform_step", "apply_impulse", "run", "imex_density_step", "frozen_period_map",
+    "apply_impulse", "run", "frozen_period_map",
 ]
 
 # Undershoot within this fraction of a species' sup-norm is rounding next to
@@ -119,24 +120,26 @@ def _front_velocities(
 
 class _Workspace:
     """The constants and buffers of the density kernel for one coefficient set,
-    dt and grid of n intervals, built once per trajectory or per orbit's frozen period map.
+    dt and grid of n intervals (dxi = 1/n), built once per trajectory or per
+    orbit's frozen period map.
 
-    ``start(w)`` forms the explicit terms of a start state w: its interior
-    rows, central differences and dt-scaled reactions.  Each stage then writes
-    its advection coefficients, matrix and right-hand side into the buffers and
-    solves in place with the LAPACK ``dptsv`` it holds, so a stage's solution
-    lives in ``rhs`` until the next stage overwrites it.  ``reactions`` forms
-    the decay terms in a buffer of its own, so it allocates only f(u).
+    ``start(w)`` keeps a start state w for the guards and forms its explicit
+    terms: its interior rows, central differences and dt-scaled reactions.
+    Each ``imex_density_step`` stage then writes its advection coefficients,
+    matrix and right-hand side into the buffers and solves in place with the
+    LAPACK ``dptsv`` it holds, so a stage's solution lives in ``rhs`` until the
+    next stage overwrites it.  ``reactions`` forms the decay terms in a buffer
+    of its own, so it allocates only f(u).
     """
 
-    def __init__(self, params: ModelParams, dt: float, n: int, dxi: float):
+    def __init__(self, params: ModelParams, dt: float, n: int):
         # deferred, and held here so a stage does not pay the import statement:
         # scipy.linalg costs ~240 ms to import, and validate, eigen and classify solve nothing
         from scipy.linalg.lapack import dptsv
 
         m = n - 1
-        self.params, self.dt, self.m, self.dptsv = params, dt, m, dptsv
-        self.xi = np.arange(1, n) * dxi  # interior nodes
+        self.params, self.dt, self.dxi, self.m, self.dptsv = params, dt, 1.0 / n, m, dptsv
+        self.xi = np.arange(1, n) * self.dxi  # interior nodes
         self.dt_a12 = dt * params.a12
         self.decay = np.array([[dt * params.a11], [params.a22]])
         mat = np.empty(4 * m - 1)  # the diagonal, then the off-diagonal, of both blocks
@@ -147,8 +150,8 @@ class _Workspace:
         self.rhs_rows = self.rhs.reshape(2, m)
 
     def start(self, w: np.ndarray) -> _Workspace:
-        """Form the explicit terms of the (2, n+1) start state w."""
-        self.rows = w[:, 1:-1]
+        """Keep the (2, n+1) start state w and form its explicit terms."""
+        self.w, self.rows = w, w[:, 1:-1]
         np.subtract(w[:, 2:], w[:, :-2], out=self.diff)
         self.reactions(self.rows, self.react)
         return self
@@ -176,25 +179,19 @@ class _Workspace:
         return self.diag, self.off
 
 
-def imex_density_step(
-    w: np.ndarray, params: ModelParams, dt: float, dxi: float, width_new: float,
-    vel_g: float = 0.0, vel_h: float = 0.0, work: _Workspace | None = None,
-) -> np.ndarray:
-    """One IMEX update of the (2, n+1) densities w: the explicit terms of the
-    start state w, then the stage solve.  Returns the new (2, n+1) densities.
+def imex_density_step(work: _Workspace, width_new: float, vel_g: float, vel_h: float) -> np.ndarray:
+    """One IMEX stage from the start state w that ``work`` was started on, onto
+    an interval of ``width_new``: the stage solve on w's explicit terms.
+    Returns the solved interior rows (2, n-1), which live in the workspace's
+    buffer until the next stage.
 
-    ``transform_step`` passes its workspace ``work`` of params, dt and dxi,
-    started on w, and gets the solved interior rows (2, n-1) in the
-    workspace's buffer.  ``vel_g``/``vel_h`` are the discrete mesh velocities
-    over the step; pass zeros for a fixed interval.  Both species are solved in
-    one dptsv call on the block-diagonal system: the zero coupling entry
-    between the blocks leaves the next pivot untouched and subtracts only
-    products with zero, so the result equals two separate solves (up to the
-    sign of a zero).
+    ``vel_g``/``vel_h`` are the discrete mesh velocities over the step.  Both
+    species are solved in one dptsv call on the block-diagonal system: the
+    zero coupling entry between the blocks leaves the next pivot untouched
+    and subtracts only products with zero, so the result equals two separate
+    solves (up to the sign of a zero).
     """
-    own = work is None
-    if own:
-        work = _Workspace(params, dt, w.shape[1] - 1, dxi).start(w)
+    dt, dxi = work.dt, work.dxi
     # in place, and in an order whose bits equal
     # w + (dt / (2 dxi W)) * (vel_g + xi * (vel_h - vel_g)) * diff + react
     adv = np.multiply(work.xi, vel_h - vel_g, out=work.adv)
@@ -207,28 +204,27 @@ def imex_density_step(
     diag, off = work.matrix(diffusion)
     _, _, interior, info = work.dptsv(diag, off, work.rhs, 1, 1, 1)  # overwrite d, e and b
     if info != 0:
-        name, d = ("u", params.d1) if info <= work.m else ("v", params.d2)
+        name, d = ("u", work.params.d1) if info <= work.m else ("v", work.params.d2)
         r = diffusion * d
         raise NumericalError(f"tridiagonal solve for {name} failed (dptsv info={info}, r={r:.6g})")
-    interior = _guarded(w, interior, work).reshape(2, -1)
-    return _padded(interior) if own else interior
+    return _guarded(work.w, interior, work).reshape(2, -1)
 
 
 def frozen_period_map(params: ModelParams, width: float, n: int, steps: int):
     """The frozen-interval period map: ``steps`` steps on n intervals of ``width``, with its
     workspace, factored matrix (dpttrf) and two buffers built once, each with its flat vector,
     (2, n-1) rows view and uint64 bits view.  ``period(w, every=0)`` writes the reset densities
-    w into buffer 0, then takes ``imex_density_step(w, params, tau/steps, 1/n, width)`` bit for
-    bit on the interior vector z (u then v): the advection term, whose velocities are 0, is
+    w into buffer 0, then takes ``steps`` zero-velocity ``imex_density_step`` stages of
+    dt = tau/steps bit for bit on the interior vector z (u then v): the advection term is
     skipped, and step i solves z + dt * reactions (dpttrs) from buffer (i-1) % 2 into buffer
     i % 2, where the guards' one-reduction test runs inline.  Returns the fresh (2, n+1) image
     and, if ``every`` > 0, the (t, w) samples every ``every`` steps from 0+ and at tau (else
     None); ``w`` is left as it is."""
     from scipy.linalg.lapack import dpttrf, dpttrs  # deferred, as in _Workspace
 
-    dt, dxi = params.tau / steps, 1.0 / n
-    work = _Workspace(params, dt, n, dxi)
-    diag, off = work.matrix(dt / (width * width * dxi * dxi))
+    dt = params.tau / steps
+    work = _Workspace(params, dt, n)
+    diag, off = work.matrix(dt / (width * width * work.dxi * work.dxi))
     diag, off, info = dpttrf(diag, off, overwrite_d=1, overwrite_e=1)
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
@@ -305,22 +301,18 @@ def _stability_guard(params: ModelParams, dt: float, vmax: float):
 
 
 def transform_step(
-    g: float, h: float, w: np.ndarray, params: ModelParams, cfg: SolverConfig, dt: float,
-    work: _Workspace | None = None,
+    g: float, h: float, w: np.ndarray, work: _Workspace
 ) -> tuple[float, float, np.ndarray]:
-    """Advance the fronts g, h and the densities w by one step: front speeds,
-    Heun front update, then the density update.  Returns (g1, h1, w1).
-    ``work`` is a workspace of params, dt and cfg's grid to reuse; a
-    ``Trajectory`` passes its own, and one is built when it is None."""
-    dxi = cfg.dxi
-    if work is None:
-        work = _Workspace(params, dt, cfg.n, dxi)
+    """Advance the fronts g, h and the densities w by one step of the
+    workspace's dt on its grid: front speeds, Heun front update, then two
+    ``imex_density_step`` stages.  Returns (g1, h1, w1)."""
+    params, dt, dxi = work.params, work.dt, work.dxi
     vg0, vh0 = _front_velocities(w[:, 1:-1], h - g, dxi, params.mu1, params.mu2)
     _stability_guard(params, dt, max(-vg0, vh0))
 
     g1, h1 = g + dt * vg0, h + dt * vh0
     work.start(w)  # both stages start from w
-    wp = imex_density_step(w, params, dt, dxi, h1 - g1, vg0, vh0, work)
+    wp = imex_density_step(work, h1 - g1, vg0, vh0)
     vg1, vh1 = _front_velocities(wp, h1 - g1, dxi, params.mu1, params.mu2)
     g1 = g + 0.5 * dt * (vg0 + vg1)
     h1 = h + 0.5 * dt * (vh0 + vh1)
@@ -328,7 +320,7 @@ def transform_step(
     vg = (g1 - g) / dt
     vh = (h1 - h) / dt
     _stability_guard(params, dt, max(-vg, vh))
-    return g1, h1, _padded(imex_density_step(w, params, dt, dxi, h1 - g1, vg, vh, work))
+    return g1, h1, _padded(imex_density_step(work, h1 - g1, vg, vh))
 
 
 def apply_impulse(w: np.ndarray, params: ModelParams) -> None:
@@ -376,8 +368,8 @@ class Trajectory:
         try:
             self._xi = cfg.xi
             self.w = np.array(init.sample(-params.h0 + self._xi * (2.0 * params.h0)))
-            self._work = _Workspace(params, self.dt, cfg.n, cfg.dxi)
-        except MemoryError:
+            self._work = _Workspace(params, self.dt, cfg.n)
+        except (MemoryError, ValueError):  # ValueError: a size NumPy refuses outright
             raise ConfigurationError(f"n={cfg.n} nodes are more than memory can hold") from None
         self.c2, self.c3 = density_bounds(params, self.w)
         self.w[:, 0] = self.w[:, -1] = 0.0
@@ -419,12 +411,12 @@ class Trajectory:
         first step after which the width h - g exceeds ``stop_width``."""
         if to_step > self.n_steps:
             raise PreconditionError(f"step {to_step} is past the last step {self.n_steps}")
-        params, cfg, dt, m = self.params, self.cfg, self.dt, self.cfg.steps_per_period
+        params, dt, m = self.params, self.dt, self.cfg.steps_per_period
         rec, work = self._rec, self._work
         while self.step < to_step:
             if self.step % m == 0:
                 apply_impulse(self.w, params)
-            self.g, self.h, self.w = transform_step(self.g, self.h, self.w, params, cfg, dt, work)
+            self.g, self.h, self.w = transform_step(self.g, self.h, self.w, work)
             self.step += 1
             self._record()
             i = self.step

@@ -1,8 +1,9 @@
-"""Test-side eigenvalue oracles: a second route to the principal eigenvalue
-and checks of the paper's lemmas.
+"""Test-side oracles: a second route to the principal eigenvalue, checks of
+the paper's lemmas, and step references on a workspace of their own.
 
 No command runs these; the tests hold ``pulsefront.eigen``'s monodromy
-route and the package's other results against them.
+route, the solver's shared-workspace steps and the package's other results
+against them.
 
 closed form
     Expanding in the eigenmodes of B (eigenvalues c1 > c2, both independent
@@ -32,6 +33,7 @@ from pulsefront.eigen import (
 )
 from pulsefront.errors import NumericalError, PreconditionError
 from pulsefront.model import ModelParams
+from pulsefront.solver import _padded, _Workspace, imex_density_step, transform_step
 
 ROBIN_NODES = 1001
 
@@ -163,3 +165,14 @@ def robin_eigen(d: float) -> RobinEigenReport:
     # phi is strictly decreasing, so the sup-norm is attained at x = 0
     phi0 = phi / phi[0]
     return RobinEigenReport(mu0=mu0, beta0=beta0, x=x, phi0=phi0)
+
+
+def imex_step(w, params, dt, width_new, vel_g=0.0, vel_h=0.0):
+    """One IMEX update of the (2, n+1) densities w on a workspace of its own: the new densities."""
+    work = _Workspace(params, dt, w.shape[1] - 1).start(w)
+    return _padded(imex_density_step(work, width_new, vel_g, vel_h))
+
+
+def heun_step(g, h, w, params, dt):
+    """One ``transform_step`` of the fronts and the (2, n+1) densities w on a workspace of its own."""
+    return transform_step(g, h, w, _Workspace(params, dt, w.shape[1] - 1))

@@ -339,10 +339,12 @@ def test_cli_out_of_range_inputs_exit_cleanly(tmp_path, capsys, argv, code):
 
 
 def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
-    # 1e13 nodes need tens of TiB: the allocator refuses the grid at once
-    doc = small_config_dict(n=10**13)
-    doc["run"]["out_dir"] = str(tmp_path / "out")
-    _assert_clean_exit(tmp_path, capsys, doc, ["simulate"], 2)
+    # 1e13 nodes need tens of TiB: the allocator refuses the grid at once;
+    # 1e20 is past the size NumPy accepts at all
+    for n in (10**13, 10**20):
+        doc = small_config_dict(n=n)
+        doc["run"]["out_dir"] = str(tmp_path / "out")
+        _assert_clean_exit(tmp_path, capsys, doc, ["simulate"], 2)
 
 
 @pytest.mark.parametrize(
@@ -552,6 +554,8 @@ def test_cli_validate(config_path, capsys):
 
 def test_cli_missing_config_is_config_error(tmp_path, capsys):
     assert main(["classify", "--config", "/nonexistent.json"]) == 2
+    assert main(["validate", "--config", str(tmp_path)]) == 2  # a directory
+    assert f"configuration file {tmp_path} cannot be read" in capsys.readouterr().err
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
     assert main(["classify", "--config", str(listed)]) == 2

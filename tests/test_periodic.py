@@ -9,9 +9,10 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from pulsefront import periodic
 from pulsefront.eigen import lambda_infinity
-from pulsefront.errors import NumericalError, PreconditionError
+from pulsefront.errors import ConfigurationError, NumericalError, PreconditionError
 from pulsefront.model import (
     BevertonHoltGrowth,
+    InitialData,
     LinearGrowth,
     LinearImpulse,
     ModelParams,
@@ -20,7 +21,9 @@ from pulsefront.model import (
 )
 from pulsefront.periodic import fixed_domain_periodic, ode_period_map, ode_periodic_orbit
 from pulsefront.presets import base_params_a, base_params_cd
-from pulsefront.solver import frozen_period_map, imex_density_step
+from pulsefront.solver import SolverConfig, Trajectory, frozen_period_map
+
+from oracles import imex_step
 
 U_STAR, V_STAR = 20.0 / 3.0, 4.0  # nullcline fixed point of the benchmark set
 
@@ -49,10 +52,28 @@ def test_orbit_is_period_map_fixed_point(params_benchmark):
 
 
 def test_uniqueness_probe(params_benchmark):
+    # the search comes from above; plain period-map iteration from below the
+    # orbit must reach the same positive fixed point
     c2, c3 = density_bounds(params_benchmark)
     top = ode_periodic_orbit(params_benchmark, tol=1e-9)
-    low = ode_periodic_orbit(params_benchmark, tol=1e-9, start=(0.1 * c2, 0.1 * c3))
-    assert np.max(np.abs(top.start_pre_reset - low.start_pre_reset)) < 1e-8
+    low = _picard(lambda w: np.array(ode_period_map(params_benchmark, tuple(w))),
+                  np.array([0.1 * c2, 0.1 * c3]))
+    assert np.max(np.abs(top.start_pre_reset - low)) < 1e-8
+
+
+def test_density_bound_that_overflows_is_refused():
+    # admissible coefficients whose C3 = a11*C2/(a12 + eps) overflows: no
+    # uniform bound exists in floats, and every user of (C2, C3) says so
+    p = ModelParams(d1=0.1, d2=0.4, a11=1e300, a12=1e-300, a22=0.1, mu1=1.0, mu2=1.0, h0=1.0,
+                    tau=5.0, growth=BevertonHoltGrowth(m=1e300, a=1.0))
+    for build in (
+        lambda: density_bounds(p),
+        lambda: ode_periodic_orbit(p),
+        lambda: fixed_domain_periodic(p, 30.0, 16, steps_per_period=10),
+        lambda: Trajectory(p, InitialData.cos_quarter(1.0, 0.3, 0.1), SolverConfig(n=16), 1.0),
+    ):
+        with pytest.raises(ConfigurationError, match="C3 = a11"):
+            build()
 
 
 def test_monotone_from_supersolution(params_benchmark):
@@ -93,13 +114,6 @@ def test_positive_orbit_resample_grid(params_benchmark):
     assert orbit.U[0] == p.impulse(u) and orbit.V[0] == v
     # one period on from the fixed point lands back on it within the defect
     assert abs(orbit.U[-1] - u) < tol and abs(orbit.V[-1] - v) < tol
-
-
-@pytest.mark.parametrize("start", [(float("nan"), 1.0), (1.0, float("inf")),
-                                   (-float("inf"), 1.0), (-1e-3, 1.0)])
-def test_bad_start_rejected(params_benchmark, start):
-    with pytest.raises(PreconditionError, match="start"):
-        ode_periodic_orbit(params_benchmark, start=start, max_periods=30)
 
 
 @pytest.mark.parametrize("value, message", [
@@ -292,7 +306,7 @@ def _period_by_imex_steps(p, w, length, steps):
     w = w.copy()
     w[0] = p.impulse(w[0])
     for _ in range(steps):
-        w = imex_density_step(w, p, p.tau / steps, 1.0 / (w.shape[1] - 1), length)
+        w = imex_step(w, p, p.tau / steps, length)
     return w
 
 
@@ -325,7 +339,7 @@ def test_factored_period_map_equals_imex_steps_through_a_clip(params_benchmark):
     p = params_benchmark.with_(a11=(1.0 + 1e-13) * steps / params_benchmark.tau)
     xi = np.linspace(0.0, 1.0, n + 1)
     w = np.array([np.sin(np.pi * xi), np.zeros(n + 1)])
-    first = imex_density_step(w, p, p.tau / steps, 1.0 / n, length)
+    first = imex_step(w, p, p.tau / steps, length)
     assert np.all(first[0] == 0.0) and first[1].max() > 0.0
     period = frozen_period_map(p, length, n, steps)
     for _ in range(3):
@@ -371,7 +385,7 @@ def test_factored_period_map_samples_its_steps(params_disinfected):
     state[0] = p.impulse(state[0])
     expected = [(0.0, state)]
     for i in range(1, steps + 1):
-        state = imex_density_step(state, p, dt, 1.0 / n, length)
+        state = imex_step(state, p, dt, length)
         if i % 3 == 0 or i == steps:
             expected.append((i * dt, state))
     times = [0.0, 3 * dt, 6 * dt, 9 * dt, 10 * dt]

@@ -9,14 +9,9 @@ from pulsefront import solver
 from pulsefront.errors import ConfigurationError, NumericalError, PreconditionError
 from pulsefront.model import InitialData
 from pulsefront.presets import base_params_cd, preset
-from pulsefront.solver import (
-    SolverConfig,
-    Trajectory,
-    apply_impulse,
-    imex_density_step,
-    run,
-    transform_step,
-)
+from pulsefront.solver import SolverConfig, Trajectory, apply_impulse, run
+
+from oracles import heun_step, imex_step
 
 
 def test_grid_and_config_invariants():
@@ -67,11 +62,10 @@ def test_apply_impulse_pointwise(params_benchmark):
 
 
 def test_single_step_symmetry(params_benchmark, init_cos):
-    cfg = SolverConfig(n=128, steps_per_period=1000)
     x0 = -2.0 + SolverConfig(n=128).xi * 4.0
     w = np.array(init_cos.sample(x0))
     w[:, 0] = w[:, -1] = 0.0
-    g1, h1, w1 = transform_step(-2.0, 2.0, w, params_benchmark, cfg, 0.005)
+    g1, h1, w1 = heun_step(-2.0, 2.0, w, params_benchmark, 0.005)
     assert g1 + h1 == pytest.approx(0.0, abs=1e-15)
     assert h1 > 2.0
     assert np.max(np.abs(w1[0] - w1[0][::-1])) < 1e-15
@@ -108,7 +102,7 @@ def test_frozen_capacities_match_fixed_domain_core(params_benchmark, init_cos):
     w[:, 0] = w[:, -1] = 0.0
     dt = 5.0 / 2000
     for _ in range(2000):
-        w = imex_density_step(w, p0, dt, 1.0 / 256, 4.0)
+        w = imex_step(w, p0, dt, 4.0)
     assert np.array_equal(w[0], series.snapshots[-1].u)
     assert np.array_equal(w[1], series.snapshots[-1].v)
 
@@ -142,8 +136,7 @@ def test_undershoot_abort():
     u = np.minimum(xi, 1.0 - xi)
     v = u.copy()
     with pytest.raises(NumericalError, match="undershoot"):
-        imex_density_step(np.array([u, v]), base_params_a(), dt=0.2, dxi=1.0 / n,
-                          width_new=4.0, vel_g=0.0, vel_h=12.0)
+        imex_step(np.array([u, v]), base_params_a(), dt=0.2, width_new=4.0, vel_g=0.0, vel_h=12.0)
 
 
 def test_run_is_deterministic(params_disinfected, init_cos):
@@ -175,7 +168,7 @@ def _reference_records(params, init, cfg, t_end):
     rows = [(0.0, g, h, w[0].max(), w[1].max())]
     apply_impulse(w, params)
     for i in range(1, n_steps + 1):
-        g, h, w = transform_step(g, h, w, params, cfg, dt)
+        g, h, w = heun_step(g, h, w, params, dt)
         rows.append((i * dt, g, h, w[0].max(), w[1].max()))
         if i % cfg.steps_per_period == 0 and i < n_steps:
             apply_impulse(w, params)
@@ -262,7 +255,7 @@ def test_imex_step_matches_dense_solve(params_benchmark, init_cos):
     u, v = init_cos.sample(-2.0 + 4.0 * xi)
     u, v = u * (1.0 + xi), v * (2.0 - xi)  # break the mirror symmetry
     u[0] = u[-1] = v[0] = v[-1] = 0.0
-    u_new, v_new = imex_density_step(np.array([u, v]), p, dt, dxi, width, vel_g, vel_h)
+    u_new, v_new = imex_step(np.array([u, v]), p, dt, width, vel_g, vel_h)
 
     adv = (vel_g + xi[1:-1] * (vel_h - vel_g)) / width
     cases = (
@@ -309,7 +302,7 @@ def test_block_solve_equals_per_species_solves(params_benchmark, n):
             assert info == 0 and x.min() > 0.0
             expected.append(np.concatenate([[0.0], x, [0.0]]))
 
-        got = imex_density_step(np.array([u, v]), p, dt, dxi, width, vel_g, vel_h)
+        got = imex_step(np.array([u, v]), p, dt, width, vel_g, vel_h)
         assert got.shape == (2, n + 1)
         assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
 
@@ -329,7 +322,7 @@ def test_nonfinite_density_aborts(params_benchmark, bad):
     v = 0.5 * u
     u[n // 2] = bad
     with pytest.raises(NumericalError, match="finite"):
-        imex_density_step(np.array([u, v]), params_benchmark, 0.01, 1.0 / n, 4.0)
+        imex_step(np.array([u, v]), params_benchmark, 0.01, 4.0)
 
 
 def test_run_rejects_nan_initial_data(params_benchmark, init_cos):
@@ -350,8 +343,7 @@ def test_stability_guard_checks_corrected_speeds(params_benchmark, init_cos, mon
     w = np.array(init_cos.sample(x0))
     w[:, 0] = w[:, -1] = 0.0
     with pytest.raises(ConfigurationError, match="explicit advection unstable"):
-        transform_step(-2.0, 2.0, w, params_benchmark, SolverConfig(n=128, steps_per_period=1000),
-                       0.005)
+        heun_step(-2.0, 2.0, w, params_benchmark, 0.005)
 
 
 def test_indefinite_diffusion_system_aborts(params_benchmark):
@@ -360,17 +352,17 @@ def test_indefinite_diffusion_system_aborts(params_benchmark):
     xi = np.linspace(0.0, 1.0, 33)
     u = np.sin(np.pi * xi)
     with pytest.raises(NumericalError, match="dptsv info="):
-        imex_density_step(np.array([u, u]), params_benchmark, -1.0, 1.0 / 32, 4.0)
+        imex_step(np.array([u, u]), params_benchmark, -1.0, 4.0)
 
 
 def _heun_step_own_terms(g, h, w, params, cfg, dt):
     """transform_step with each IMEX stage forming its own start-state terms and buffers."""
     vg0, vh0 = solver._front_velocities(w[:, 1:-1], h - g, cfg.dxi, params.mu1, params.mu2)
     g1, h1 = g + dt * vg0, h + dt * vh0
-    wp = imex_density_step(w, params, dt, cfg.dxi, h1 - g1, vg0, vh0)
+    wp = imex_step(w, params, dt, h1 - g1, vg0, vh0)
     vg1, vh1 = solver._front_velocities(wp[:, 1:-1], h1 - g1, cfg.dxi, params.mu1, params.mu2)
     g1, h1 = g + 0.5 * dt * (vg0 + vg1), h + 0.5 * dt * (vh0 + vh1)
-    return g1, h1, imex_density_step(w, params, dt, cfg.dxi, h1 - g1, (g1 - g) / dt, (h1 - h) / dt)
+    return g1, h1, imex_step(w, params, dt, h1 - g1, (g1 - g) / dt, (h1 - h) / dt)
 
 
 def _bits(x):
@@ -473,7 +465,7 @@ def _guarded_by_rows(w, interior):
 
 # dt*a11 = 0.015 and dt*a22 = 0.005: the decay step cannot undershoot by itself,
 # so every undershoot beyond the tolerance is a scheme failure, as in the oracle
-_GUARD_WORK = solver._Workspace(preset("fig-a").config.model, 0.05, 8, 1.0 / 8)
+_GUARD_WORK = solver._Workspace(preset("fig-a").config.model, 0.05, 8)
 
 # an interior entry: a signed zero, the least float of either sign, the
 # largest float, a density, or k * CLIP_TOL * sup of its start row for k in
@@ -520,7 +512,7 @@ def test_guard_fast_path_matches_row_checks(drawn):
 
 def test_guard_blames_the_decay_step_only_for_its_own_row(params_benchmark):
     # dt*a11 = 1.5 and dt*a22 = 0.05: an undershoot of u is the decay step's, one of v the scheme's
-    work = solver._Workspace(params_benchmark.with_(a11=3.0), 0.5, 4, 0.25)
+    work = solver._Workspace(params_benchmark.with_(a11=3.0), 0.5, 4)
     w = np.ones((2, 5))
     with pytest.raises(ConfigurationError, match=r"dt\*a11=1\.5 >= 1; reduce dt via steps_per_period"):
         solver._guarded(w, np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), work)
@@ -542,7 +534,7 @@ def test_frozen_steps_between_two_buffers_clip_like_the_moving_kernel(params_ben
         for state in (w, image):
             state[0, 1:-1] += 1.0  # fresh u, so every step undershoots
             state[1] = 0.0
-        w = imex_density_step(w, p, dt, 1.0 / n, width)
+        w = imex_step(w, p, dt, width)
         image, _ = period(image)
         assert not w[0].any() and w[1].max() > 0.0
         assert np.array_equal(image.view(np.uint64), w.view(np.uint64))
