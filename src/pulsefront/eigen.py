@@ -94,18 +94,21 @@ def _shifts(params: ModelParams, lambda0: float) -> tuple[float, float, float, f
 
     The gaps are positive, gap + n12 = c1 - c2 and gap * n12 = a12 * f'(0);
     they are formed without the cancellation that c1 - c2 or a11 + d1*lambda0
-    + c1 suffer once d*lambda0 dwarfs the other coefficients.
+    + c1 suffer once d*lambda0 dwarfs the other coefficients.  So is c1, the
+    larger diagonal entry of B plus the smaller gap: (trace + root)/2 cancels
+    once one decay rate dwarfs the other.
     """
     fp0 = params.growth.slope_at_zero
     s = params.a22 + (params.d2 - params.d1) * lambda0 - params.a11  # B[0, 0] - B[1, 1]
     root = math.hypot(s, 2.0 * math.sqrt(params.a12 * fp0))
     base = -(params.d1 + params.d2) * lambda0 - params.a11 - params.a22
-    c1, c2 = (base + root) / 2.0, (base - root) / 2.0
-    if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise NumericalError(f"eigenvalues of B leave the float range (lambda0 = {lambda0:.6g})")
     # the gaps are (root + s)/2 and (root - s)/2: form the larger, divide for the other
     big = 0.5 * root + 0.5 * abs(s)
     small = params.a12 * fp0 / big
+    top = -params.d1 * lambda0 - params.a11 if s > 0 else -params.d2 * lambda0 - params.a22
+    c1, c2 = top + small, (base - root) / 2.0
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise NumericalError(f"eigenvalues of B leave the float range (lambda0 = {lambda0:.6g})")
     return (c1, c2, big, small) if s > 0 else (c1, c2, small, big)
 
 

@@ -13,9 +13,12 @@ bacteria density is reset pointwise, u <- G(u), while v is untouched.
 Growth f and disinfection response G are closed enumerations rather than
 arbitrary callables so that f'(0), G'(0) and the quadratic lower-bound
 constants are available in closed form; the eigenvalue routines depend on
-exact slopes.  The family constructors admit only the shapes of A2-A4
-(0 < f'(0), f(u)/u non-increasing; 0 < G(u) <= u, G non-decreasing; a
-positive finite H), so only A1 and the asymptotic slope margin are checked.
+exact slopes.  Each growth family also writes f(u) into a given buffer, for
+the solver's step, and gives the Taylor coefficients of f(U(t)) from those
+of U(t), for the homogeneous period map's integrator.  The family
+constructors admit only the shapes of A2-A4 (0 < f'(0), f(u)/u
+non-increasing; 0 < G(u) <= u, G non-decreasing; a positive finite H), so
+only A1 and the asymptotic slope margin are checked.
 """
 
 from __future__ import annotations
@@ -66,6 +69,14 @@ class LinearGrowth:
     def __call__(self, u):
         return self.p * u
 
+    def into(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """f(u) written to ``out``, bit for bit; ``scratch`` is unused."""
+        return np.multiply(self.p, u, out=out)
+
+    def taylor_term(self, us: list[float], aux: list[float]) -> float:
+        """Taylor coefficient F_k = p U_k of f(U(t)), k = len(us) - 1; ``aux`` is unused."""
+        return self.p * us[-1]
+
     @property
     def slope_at_zero(self) -> float:
         return self.p
@@ -103,6 +114,22 @@ class BevertonHoltGrowth:
 
     def __call__(self, u):
         return self.m * u / (self.a + u)
+
+    def into(self, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """f(u) written to ``out``, bit for bit, with a + u formed in ``scratch``."""
+        np.multiply(self.m, u, out=out)
+        return np.divide(out, np.add(self.a, u, out=scratch), out=out)
+
+    def taylor_term(self, us: list[float], aux: list[float]) -> float:
+        """Taylor coefficient F_k = m q_k of f(U(t)), k = len(us) - 1, for q = U/(a + U):
+        (a + U_0) q_k = U_k - sum_{j=1..k} U_j q_{k-j}.  ``aux`` holds q_0..q_{k-1} on
+        entry and gains q_k."""
+        k = len(us) - 1
+        total = us[k]
+        for j in range(1, k + 1):
+            total -= us[j] * aux[k - j]
+        aux.append(total / (self.a + us[0]))
+        return self.m * aux[k]
 
     @property
     def slope_at_zero(self) -> float:

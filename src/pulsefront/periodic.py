@@ -5,8 +5,9 @@ uniform supersolution constants:
 
 * the spatially homogeneous pair U' = a12 V - a11 U, V' = f(U) - a22 V with
   the reset U <- G(U) once per period (the whole-line limit dynamics),
-  integrated by LSODA (``scipy.integrate.odeint``, imported on first use),
-  where a failed or non-finite integration raises NumericalError, and
+  integrated by a Taylor-series method in Python floats (Jorba & Zou, Exp.
+  Math. 14, 2005), where a failed or non-finite integration raises
+  NumericalError, and
 * the fixed-interval Dirichlet problem, advanced by the moving-front IMEX
   step with frozen fronts: ``solver.frozen_period_map`` builds the map, its
   factored matrix and its buffers once per orbit search, and the report
@@ -30,10 +31,10 @@ eigenvalue, and the fixed-domain routine verifies that agreement itself.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,17 @@ from .solver import frozen_period_map
 
 __all__ = ["PeriodicOrbit", "ode_periodic_orbit", "fixed_domain_periodic", "ode_period_map"]
 
-# LSODA tolerances of the homogeneous map: Newton differences states down to
-# 1e-9 near the zero orbit, so only a relative tolerance keeps them accurate
-ODE_RTOL = 1e-12
-ODE_ATOL = 1e-20
+# Taylor integration of the homogeneous map: each step is the order-TAYLOR_ORDER
+# polynomial of the solution, whose last two terms are held to TAYLOR_RTOL of the
+# state's sup-norm, times TAYLOR_SAFETY on the step length.  Newton differences
+# states down to 1e-9 near the zero orbit, so only a relative tolerance keeps
+# them accurate.  The method is explicit: once a11 (or a22) dominates, a step
+# covers about 9 / a11, so TAYLOR_MAX_STEPS admits a11 * tau up to about 8.8e4
+# (README "Numerical notes")
+TAYLOR_ORDER = 20
+TAYLOR_RTOL = 1e-13
+TAYLOR_SAFETY = 0.9
+TAYLOR_MAX_STEPS = 10_000
 
 # a converged state counts as the positive orbit only if the defect is also
 # small relative to the state: slow geometric decay toward zero can reach an
@@ -219,31 +227,71 @@ def _gmres(matvec, b: np.ndarray, rtol: float, atol: float) -> np.ndarray:
     return y @ v[: col + 1]
 
 
-def _integrate(params: ModelParams, u: float, v: float, t) -> np.ndarray:
-    """LSODA solution of the homogeneous system from (u, v) at t[0]; one row per time in ``t``."""
-    # deferred: scipy.integrate costs ~60 ms and 1.7 MB to import; only the ODE orbit needs it
-    from scipy.integrate import ODEintWarning, odeint
+def _integrate(params: ModelParams, u: float, v: float):
+    """Taylor steps of the homogeneous system over one period from (u, v) at t = 0.
 
-    a11, a12, a22, f = params.a11, params.a12, params.a22, params.growth
+    Returns (steps, end): per step its start time and the Taylor coefficients
+    of U and V there, from U_{k+1} = (a12 V_k - a11 U_k)/(k+1) and V_{k+1} =
+    (F_k - a22 V_k)/(k+1) with the growth family's F_k; and the state at tau,
+    which is ``_evaluate(steps, tau)`` bit for bit.  A non-finite state, a step
+    that does not advance and TAYLOR_MAX_STEPS steps short of tau each raise
+    NumericalError.
+    """
+    a11, a12, a22, term, tau = params.a11, params.a12, params.a22, params.growth.taylor_term, params.tau
+    failed = f"homogeneous ODE integration failed from ({u:.6g}, {v:.6g}): "
+    steps, t, last = [], 0.0, False
+    while not last:
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NumericalError(failed + f"the state ({u:.6g}, {v:.6g}) at t={t:.6g} is not finite")
+        if len(steps) == TAYLOR_MAX_STEPS:
+            raise NumericalError(failed + f"{TAYLOR_MAX_STEPS} steps reach only t={t:.6g} of {tau:.6g}")
+        us, vs, aux = [u], [v], []
+        for k in range(TAYLOR_ORDER):
+            fk = term(us, aux)
+            us.append((a12 * vs[k] - a11 * us[k]) / (k + 1))
+            vs.append((fk - a22 * vs[k]) / (k + 1))
+        steps.append((t, us, vs))
+        h = _step_length(us, vs)
+        last = h >= tau - t
+        if last:
+            h = tau - t  # as _evaluate forms it
+        elif not h > 0.0:
+            raise NumericalError(failed + f"the step length is {h:.3g} at t={t:.6g}")
+        u, v = _horner(us, h), _horner(vs, h)
+        t += h
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise NumericalError(failed + f"the state ({u:.6g}, {v:.6g}) at t={tau:.6g} is not finite")
+    return steps, (u, v)
 
-    def rhs(y, _t):
-        return (a12 * y[1] - a11 * y[0], f(y[0]) - a22 * y[1])
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)  # failure is reported below instead
-        y, info = odeint(rhs, (u, v), t, rtol=ODE_RTOL, atol=ODE_ATOL, full_output=True)
-    if info["message"] != "Integration successful." or not np.isfinite(y).all():
-        raise NumericalError(
-            f"homogeneous ODE integration failed from ({u:.6g}, {v:.6g}): {info['message']}"
-        )
-    return y
+def _step_length(us: list[float], vs: list[float]) -> float:
+    """The step whose last two Taylor terms are TAYLOR_RTOL of the state's sup-norm, times
+    TAYLOR_SAFETY; inf when both terms vanish."""
+    norm, h = max(abs(us[0]), abs(vs[0])), math.inf
+    for k in (TAYLOR_ORDER - 1, TAYLOR_ORDER):
+        size = max(abs(us[k]), abs(vs[k]))
+        if size > 0.0:
+            h = min(h, (TAYLOR_RTOL * (norm / size)) ** (1.0 / k))
+    return TAYLOR_SAFETY * h
+
+
+def _horner(coefficients: list[float], s: float) -> float:
+    total = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        total = total * s + c
+    return total
+
+
+def _evaluate(steps, t: float) -> tuple[float, float]:
+    """The state at time t in [0, tau] from the polynomial of the last step starting at or
+    before t, so the times asked for never change the steps taken."""
+    start, us, vs = steps[bisect.bisect_right(steps, t, key=operator.itemgetter(0)) - 1]
+    return _horner(us, t - start), _horner(vs, t - start)
 
 
 def ode_period_map(params: ModelParams, state: tuple[float, float]) -> tuple[float, float]:
     """Apply the reset, integrate one period; pre-reset state in, pre-reset out."""
-    u0 = float(params.impulse(state[0]))
-    y = _integrate(params, u0, float(state[1]), (0.0, params.tau))
-    return float(y[-1, 0]), float(y[-1, 1])
+    return _integrate(params, float(params.impulse(state[0])), float(state[1]))[1]
 
 
 def ode_periodic_orbit(
@@ -265,7 +313,8 @@ def ode_periodic_orbit(
     )
     t = np.linspace(0.0, params.tau, 201)
     if is_positive:  # resample one period of the converged orbit for the report
-        U, V = _integrate(params, float(params.impulse(state[0])), float(state[1]), t).T.copy()
+        steps, _ = _integrate(params, float(params.impulse(state[0])), float(state[1]))
+        U, V = np.array([_evaluate(steps, ti) for ti in t.tolist()]).T.copy()
     else:
         U, V, state = np.zeros(t.size), np.zeros(t.size), np.zeros(2)
     return PeriodicOrbit(

@@ -128,8 +128,8 @@ class _Workspace:
     Each ``imex_density_step`` stage then writes its advection coefficients,
     matrix and right-hand side into the buffers and solves in place with the
     LAPACK ``dptsv`` it holds, so a stage's solution lives in ``rhs`` until the
-    next stage overwrites it.  ``reactions`` forms the decay terms in a buffer
-    of its own, so it allocates only f(u).
+    next stage overwrites it.  ``reactions`` takes its rows as prebuilt views
+    and writes f(u) and the decay terms into buffers, so it allocates nothing.
     """
 
     def __init__(self, params: ModelParams, dt: float, n: int):
@@ -145,7 +145,9 @@ class _Workspace:
         mat = np.empty(4 * m - 1)  # the diagonal, then the off-diagonal, of both blocks
         self.diag, self.off = mat[: 2 * m], mat[2 * m :]
         self.blocks = mat[:m], mat[m : 2 * m], mat[2 * m : 3 * m - 1], mat[3 * m :]
-        self.diff, self.react, self.decayed = np.empty((2, m)), np.empty((2, m)), np.empty((2, m))
+        self.diff, self.decayed = np.empty((2, m)), np.empty((2, m))
+        self.react = with_rows(np.empty((2, m)))  # the reactions with their row views
+        self.scratch = self.decayed[0]
         self.adv, self.rhs = np.empty(m), np.empty(2 * m)
         self.rhs_rows = self.rhs.reshape(2, m)
 
@@ -153,17 +155,19 @@ class _Workspace:
         """Keep the (2, n+1) start state w and form its explicit terms."""
         self.w, self.rows = w, w[:, 1:-1]
         np.subtract(w[:, 2:], w[:, :-2], out=self.diff)
-        self.reactions(self.rows, self.react)
+        self.reactions(with_rows(self.rows), self.react)
         return self
 
-    def reactions(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def reactions(self, x: tuple, out: tuple) -> np.ndarray:
         """The dt-scaled reactions (dt a12 v - dt a11 u, dt (f(u) - a22 v)) of the
-        interior rows x = (u, v), bit for bit, written to ``out``."""
-        np.multiply(self.dt_a12, x[1], out[0])
-        out[1] = self.params.growth(x[0])
-        out -= np.multiply(x, self.decay, out=self.decayed)
-        out[1] *= self.dt
-        return out
+        interior rows x = (u, v), bit for bit, written to ``out``; ``x`` and ``out``
+        are ``with_rows`` triples."""
+        (rows, u, v), (whole, out_u, out_v) = x, out
+        np.multiply(self.dt_a12, v, out_u)
+        self.params.growth.into(u, out_v, self.scratch)  # a row of decayed, rewritten next
+        whole -= np.multiply(rows, self.decay, out=self.decayed)
+        out_v *= self.dt
+        return whole
 
     def matrix(self, diffusion: float) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal 1 + 2r and off-diagonal -r of the block SPD matrix, r = diffusion * d
@@ -177,6 +181,11 @@ class _Workspace:
         self.off[self.m - 1] = 0.0  # the block coupling
         off_v.fill(-r_v)
         return self.diag, self.off
+
+
+def with_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (2, m) array with its two row views, built once for ``_Workspace.reactions``."""
+    return rows, rows[0], rows[1]
 
 
 def imex_density_step(work: _Workspace, width_new: float, vel_g: float, vel_h: float) -> np.ndarray:
@@ -199,7 +208,7 @@ def imex_density_step(work: _Workspace, width_new: float, vel_g: float, vel_h: f
     adv *= dt / (2.0 * dxi * width_new)
     rhs = np.multiply(adv, work.diff, out=work.rhs_rows)
     rhs += work.rows
-    rhs += work.react
+    rhs += work.react[0]
     diffusion = dt / (width_new * width_new * dxi * dxi)
     diag, off = work.matrix(diffusion)
     _, _, interior, info = work.dptsv(diag, off, work.rhs, 1, 1, 1)  # overwrite d, e and b
@@ -229,12 +238,13 @@ def frozen_period_map(params: ModelParams, width: float, n: int, steps: int):
     if info != 0:
         raise NumericalError(f"frozen-interval matrix is not positive definite (dpttrf info={info})")
     flat = np.empty(2 * (n - 1)), np.empty(2 * (n - 1))
-    rows = flat[0].reshape(2, -1), flat[1].reshape(2, -1)
+    rows = with_rows(flat[0].reshape(2, -1)), with_rows(flat[1].reshape(2, -1))
     bits = flat[0].view(np.uint64), flat[1].view(np.uint64)
 
     def period(w: np.ndarray, every: int = 0):
-        rows[0][0] = params.impulse(w[0, 1:-1])
-        rows[0][1] = w[1, 1:-1]
+        _, u, v = rows[0]
+        u[:] = params.impulse(w[0, 1:-1])
+        v[:] = w[1, 1:-1]
         samples = [(0.0, _padded(flat[0]))] if every else None
         for i in range(1, steps + 1):
             old, new = 1 - i % 2, i % 2
@@ -243,7 +253,7 @@ def frozen_period_map(params: ModelParams, width: float, n: int, steps: int):
             out += flat[old]  # addition commutes: the bits of z + reactions
             dpttrs(diag, off, out, overwrite_b=1)  # solves in place
             if not np.maximum.reduce(bits[new]) < _INF_BITS:
-                _guarded(rows[old], out, work)
+                _guarded(rows[old][0], out, work)
             if samples is not None and (i % every == 0 or i == steps):
                 samples.append((i * dt, _padded(out)))
         return _padded(flat[steps % 2]), samples

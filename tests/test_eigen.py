@@ -11,7 +11,7 @@ from pulsefront.eigen import (
     principal_eigenvalue_monodromy,
 )
 from pulsefront.errors import NumericalError, PreconditionError
-from pulsefront.model import IdentityImpulse, LinearImpulse, SaturatingImpulse
+from pulsefront.model import BevertonHoltGrowth, IdentityImpulse, LinearImpulse, SaturatingImpulse
 
 from conftest import random_valid_params
 from oracles import (
@@ -80,6 +80,26 @@ def test_monodromy_report_stays_finite_on_tiny_intervals():
     assert np.all(np.isfinite(rep.phi_psi_profile))
 
 
+@pytest.mark.parametrize("coupling", ["benchmark", "unit"])
+@pytest.mark.parametrize("a11", [1e6, 1e14, 1e300])
+def test_whole_line_eigenvalue_with_a_dominant_decay_rate(params_benchmark, a11, coupling):
+    # identity reset: lambda = -c1 exactly, and c1 = -a22 + a12 f'(0)/(a11 - a22 + ...)
+    # sits next to the smaller decay rate; (trace + root)/2 cancelled it away,
+    # to 0.09375 at 1e14 and -0.0 at 1e300
+    from decimal import Decimal, localcontext
+
+    p = params_benchmark.with_(a11=a11)
+    if coupling == "unit":  # a12 f'(0) = 1 as a11 grows
+        p = p.with_(a12=1.0 / a11, growth=BevertonHoltGrowth(m=a11, a=1.0))
+    with localcontext() as ctx:
+        ctx.prec = 400  # the trace and the root agree to 300 digits at 1e300
+        b00, b11 = -Decimal(p.a11), -Decimal(p.a22)
+        coupling = Decimal(p.a12) * Decimal(p.growth.slope_at_zero)
+        c1 = (b00 + b11 + ((b00 - b11) ** 2 + 4 * coupling).sqrt()) / 2
+        expected = float(-c1)
+    assert lambda_infinity(p).lam == pytest.approx(expected, rel=1e-14)
+
+
 def test_profile_stays_positive_when_the_mode_determinant_overflows():
     # d1 > d2 makes n12 ~ (d1 - d2) * lambda0, and a12*f'(0) + n12^2 passes
     # 1e308 once n12 passes 1e154; lambda never used it
@@ -87,7 +107,7 @@ def test_profile_stays_positive_when_the_mode_determinant_overflows():
 
     p = base_params_cd(1.0).with_(d1=0.4, d2=0.1)
     rep = principal_eigenvalue_monodromy(p, 1e-80)
-    assert rep.lam == 9.869604401089355e159
+    assert rep.lam == 9.869604401089358e159  # -c1 correctly rounded, from 40 digits
     prof = rep.phi_psi_profile[:, 1:]
     assert np.all(np.isfinite(prof)) and np.all(prof > 0)
     # identity reset: k0 = 0 and (Phi, Psi) = (a12, n12) / (a12 f'(0) + n12^2),

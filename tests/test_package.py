@@ -26,10 +26,10 @@ def test_every_exported_name_resolves():
 
 
 def _heavy_modules_loaded(module: str, then: str = "") -> str:
-    # each costs tens to hundreds of ms of startup; only the ODE orbit defers
-    # to scipy.integrate, only a solve to scipy.linalg (for LAPACK), and
-    # nothing needs scipy.optimize or scipy.sparse
-    heavy = "{'scipy.optimize', 'scipy.integrate', 'scipy.sparse', 'scipy.linalg'}"
+    # each costs tens to hundreds of ms of startup; only a solve loads
+    # scipy.linalg (for LAPACK), and nothing needs scipy.integrate,
+    # scipy.optimize, scipy.sparse or scipy.special
+    heavy = "{'scipy.optimize', 'scipy.integrate', 'scipy.sparse', 'scipy.special', 'scipy.linalg'}"
     code = f"import sys, {module}\n{then}\nprint(sorted({heavy} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(pulsefront.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
@@ -43,6 +43,19 @@ def test_cli_import_loads_no_optimize_or_integrate():
 def test_package_import_loads_no_optimize_integrate_or_sparse():
     # the package imports periodic, whose frozen-interval kernel lives in solver
     assert _heavy_modules_loaded("pulsefront") == "[]"
+
+
+def test_ode_orbit_loads_no_integrate_optimize_sparse_or_special():
+    # the homogeneous map is a Taylor integrator in Python floats; the orbit's
+    # Newton steps load scipy.linalg for one LAPACK rotation
+    then = ("from pulsefront.presets import base_params_a\n"
+            "assert pulsefront.periodic.ode_periodic_orbit(base_params_a()).is_positive")
+    assert _heavy_modules_loaded("pulsefront.periodic", then) == "['scipy.linalg']"
+
+
+def test_no_source_file_imports_scipy_integrate():
+    sources = Path(pulsefront.__file__).parent.glob("*.py")
+    assert [path.name for path in sources if "scipy.integrate" in path.read_text()] == []
 
 
 @pytest.mark.parametrize("command", [["validate"], ["eigen", "--interval", "4"], ["classify"]],

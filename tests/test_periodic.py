@@ -1,5 +1,6 @@
+import importlib.util
 import itertools
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,19 +117,32 @@ def test_positive_orbit_resample_grid(params_benchmark):
     assert abs(orbit.U[-1] - u) < tol and abs(orbit.V[-1] - v) < tol
 
 
-@pytest.mark.parametrize("value, message", [
-    (1.0, "Excess work done on this call (perhaps wrong Dfun type)."),
-    (np.nan, "Integration successful."),
-])
-def test_integrator_failure_is_numerical_error(params_benchmark, monkeypatch, value, message):
-    def failing(func, y0, t, **kwargs):
-        if value == 1.0:  # odeint warns on every failure it reports
-            warnings.warn(message, scipy.integrate.ODEintWarning)
-        return np.full((len(t), 2), value), {"message": message}
+def test_integrator_step_cap_is_numerical_error(params_benchmark, monkeypatch):
+    # one step fewer than this map takes: the cap stops it short of tau
+    state = density_bounds(params_benchmark)
+    steps, _ = periodic._integrate(params_benchmark, *state)
+    assert len(steps) > 1
+    monkeypatch.setattr(periodic, "TAYLOR_MAX_STEPS", len(steps) - 1)
+    with pytest.raises(NumericalError, match=f"integration failed .*{len(steps) - 1} steps reach"):
+        ode_period_map(params_benchmark, state)
 
-    monkeypatch.setattr(scipy.integrate, "odeint", failing)
-    with pytest.raises(NumericalError, match="integration failed"):
-        ode_period_map(params_benchmark, (1.0, 1.0))
+
+@pytest.mark.parametrize("growth, state", [
+    (BevertonHoltGrowth(m=1.0, a=10.0), (np.nan, 1.0)),
+    (BevertonHoltGrowth(m=1.0, a=10.0), (1.0, np.inf)),
+    (LinearGrowth(p=1e300), (1e10, 1e10)),  # overflows within the period
+], ids=["nan-start", "inf-start", "overflow"])
+def test_integrator_non_finite_state_is_numerical_error(params_benchmark, growth, state):
+    with pytest.raises(NumericalError, match="integration failed .*is not finite"):
+        ode_period_map(params_benchmark.with_(growth=growth), state)
+
+
+def test_integrator_admits_stiff_decay(params_benchmark):
+    # a11 * tau = 1.5e4 takes about 1.7e3 steps, well inside the cap
+    p = params_benchmark.with_(a11=3000.0)
+    steps, end = periodic._integrate(p, *density_bounds(p))
+    assert len(steps) < periodic.TAYLOR_MAX_STEPS / 4
+    assert np.allclose(end, _lsoda_map(p, density_bounds(p)), rtol=1e-10, atol=0.0)
 
 
 def test_fixed_domain_subcritical_zero_orbit(params_benchmark):
@@ -228,6 +242,69 @@ def test_ode_orbit_matches_picard_reference(params_benchmark, case):
                         np.array(density_bounds(p)))
     assert orbit.is_positive == (np.max(reference) > 1e-6)
     assert np.max(np.abs(orbit.start_pre_reset - reference)) < 1e-8
+
+
+def _lsoda_map(p, state):
+    """The period map by LSODA at tight tolerances: the oracle of the Taylor integrator."""
+    f = p.growth
+
+    def rhs(y, _t):
+        return (p.a12 * y[1] - p.a11 * y[0], f(y[0]) - p.a22 * y[1])
+
+    return scipy.integrate.odeint(rhs, (p.impulse(state[0]), state[1]), (0.0, p.tau),
+                                  rtol=1e-12, atol=1e-20)[-1]
+
+
+def _benchmark_ode_params(seed):
+    """The coefficient sets of the benchmark's ODE orbits for ``seed``."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    bench = workloads.Periodic(seed, Path("."), toy=False)
+    bench.setup()
+    return [(label, params) for label, _, params, length in bench.orbits if length is None]
+
+
+@pytest.fixture(scope="module")
+def benchmark_ode_sets():
+    return {seed: _benchmark_ode_params(seed) for seed in (1, 7)}
+
+
+@pytest.mark.parametrize("start", ["supersolution", "1e-3", "1e-9"])
+def test_ode_period_map_matches_lsoda(params_benchmark, benchmark_ode_sets, start):
+    sets = [(case, params_benchmark.with_(**changes)) for case, changes in ODE_CASES.items()]
+    sets += [(f"s{seed}/{label}", p) for seed, found in benchmark_ode_sets.items() for label, p in found]
+    assert len(sets) == 3 + 2 * 3
+    for case, p in sets:
+        state = density_bounds(p) if start == "supersolution" else (float(start),) * 2
+        image, reference = np.array(ode_period_map(p, state)), _lsoda_map(p, state)
+        assert np.all(np.abs(image - reference) <= 1e-10 * np.abs(reference)), case
+
+
+@pytest.mark.parametrize("size", [1e-8, 1.0, 50.0])
+def test_linear_period_map_matches_expm_to_roundoff(params_benchmark, size):
+    p = params_benchmark.with_(growth=LinearGrowth(p=0.03), impulse=LinearImpulse(rho=0.8))
+    A = np.array([[-p.a11, p.a12], [0.03, -p.a22]])
+    state = (size, 0.7 * size)
+    exact = expm(A * p.tau) @ np.array([0.8 * state[0], state[1]])
+    image = np.array(ode_period_map(p, state))
+    assert np.all(np.abs(image - exact) <= 1e-14 * np.abs(exact))
+
+
+@pytest.mark.parametrize("case", ["beverton-holt/saturating", "beverton-holt/identity", "stiff"])
+def test_orbit_resample_ends_on_the_period_map(params_benchmark, case):
+    # the 201 sample times are read off the steps' polynomials, so the last
+    # row is the map's own image of the start, bit for bit
+    changes = ODE_CASES.get(case, dict(a11=30.0, growth=BevertonHoltGrowth(m=100.0, a=10.0)))
+    p = params_benchmark.with_(**changes)
+    orbit = ode_periodic_orbit(p)
+    assert orbit.is_positive
+    start = tuple(float(x) for x in orbit.start_pre_reset)
+    if case == "stiff":  # many steps, so many polynomials to sample from
+        assert len(periodic._integrate(p, p.impulse(start[0]), start[1])[0]) > 10
+    image = ode_period_map(p, start)
+    assert _bits([orbit.U[-1], orbit.V[-1]]).tolist() == _bits(image).tolist()
 
 
 PDE_CASES = {
