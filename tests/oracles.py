@@ -33,7 +33,7 @@ from pulsefront.eigen import (
 )
 from pulsefront.errors import NumericalError, PreconditionError
 from pulsefront.model import ModelParams
-from pulsefront.solver import _padded, _Workspace, imex_density_step, transform_step
+from pulsefront.solver import _Workspace, imex_density_step, transform_step
 
 ROBIN_NODES = 1001
 
@@ -170,7 +170,9 @@ def robin_eigen(d: float) -> RobinEigenReport:
 def imex_step(w, params, dt, width_new, vel_g=0.0, vel_h=0.0):
     """One IMEX update of the (2, n+1) densities w on a workspace of its own: the new densities."""
     work = _Workspace(params, dt, w.shape[1] - 1).start(w)
-    return _padded(imex_density_step(work, width_new, vel_g, vel_h))
+    out = np.zeros(w.shape)
+    imex_density_step(work, width_new, vel_g, vel_h, out.reshape(-1)[1:-1])
+    return out
 
 
 def heun_step(g, h, w, params, dt):

@@ -335,7 +335,9 @@ def test_cli_out_of_range_inputs_exit_cleanly(tmp_path, capsys, argv, code):
     # no eigenvalue case here exits 3: that is left to the shift overflow,
     # test_cli_eigen_shift_overflow_is_numerical_failure.
     # dt = tau / steps stays stable (dt*vmax^2 <= 2*min(d)) at tau = 20000
-    _assert_clean_exit(tmp_path, capsys, small_config_dict(steps=2_000_000), argv, code)
+    doc = small_config_dict(steps=2_000_000)
+    doc["run"]["out_dir"] = str(tmp_path / "out")
+    _assert_clean_exit(tmp_path, capsys, doc, argv, code)
 
 
 def test_cli_oversized_grid_exits_cleanly(tmp_path, capsys):
@@ -415,6 +417,7 @@ def test_cli_extreme_magnitudes_keep_the_exit_contract(tmp_path):
     escapes = []
     for impulse in IMPULSES:
         base = small_config_dict(n=16, steps=10, mu1=0.1, mu2=1.0, impulse=impulse)
+        base["run"]["out_dir"] = str(tmp_path / "out")
         for path, value in itertools.product(MAGNITUDE_FIELDS, MAGNITUDES):
             config.write_text(json.dumps(_mutated(base, path, value)))
             for argv in MAGNITUDE_COMMANDS:

@@ -1,4 +1,9 @@
+import json
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import strategies as st
 
 from pulsefront import solver
 from pulsefront.errors import ConfigurationError, NumericalError, PreconditionError
-from pulsefront.model import InitialData
+from pulsefront.model import InitialData, LinearGrowth
 from pulsefront.presets import base_params_cd, preset
 from pulsefront.solver import SolverConfig, Trajectory, apply_impulse, run
 
@@ -15,7 +20,6 @@ from oracles import heun_step, imex_step
 
 
 def test_grid_and_config_invariants():
-    assert SolverConfig(n=16).dxi == 1 / 16
     assert SolverConfig(n=16).xi[1] == 1 / 16
     with pytest.raises(ConfigurationError, match="n >= 16"):
         SolverConfig(n=8)
@@ -355,12 +359,69 @@ def test_indefinite_diffusion_system_aborts(params_benchmark):
         imex_step(np.array([u, u]), params_benchmark, -1.0, 4.0)
 
 
+def test_indefinite_v_block_alone_is_named_v(params_benchmark):
+    # at dt < 0, d1 = 1e-3 keeps the u block positive definite (r_u = -0.064 > -1/4):
+    # only the v block fails, and the error names v and its r
+    p = params_benchmark.with_(d1=1e-3, d2=0.4)
+    u = np.sin(np.pi * np.linspace(0.0, 1.0, 33))
+    with pytest.raises(NumericalError, match=r"solve for v failed \(dptsv info=\d+, r=-25\.6\)"):
+        imex_step(np.array([u, u]), p, -1.0, 4.0)
+
+
+# a short disinfected trajectory and one sampled frozen period, hashed; the scipy-bundled
+# OpenBLAS that serves dptsv/dpttrf/dpttrs reports its core type where its wheel exposes it
+_CORE_TYPE_RUN = """
+import ctypes, glob, hashlib, json, os
+import numpy as np, scipy
+from pulsefront.model import InitialData, SaturatingImpulse
+from pulsefront.presets import preset
+from pulsefront.solver import SolverConfig, Trajectory, frozen_period_map
+
+p = preset("fig-b").config.model.with_(impulse=SaturatingImpulse(c=0.5, b=10.0))
+traj = Trajectory(p, InitialData.cos_quarter(p.h0, 0.3, 0.1), SolverConfig(n=64, steps_per_period=100),
+                  12.5, snapshot_times=(6.0,))
+traj.advance(traj.n_steps)
+series = traj.series()
+image, samples = frozen_period_map(p, 30.0, 32, 50)(traj.w[:, ::2], 10)
+digest = hashlib.sha256()
+for a in (series.t, series.g, series.h, series.sup_u, series.sup_v, series.snapshots[0].u, traj.w,
+          image, *(w for _, w in samples)):
+    digest.update(np.ascontiguousarray(a).tobytes())
+core = None
+for path in glob.glob(os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs", "*openblas*")):
+    name = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename", None)
+    if name is not None:
+        name.restype = ctypes.c_char_p
+        core = name().decode()
+print(json.dumps({"core": core, "digest": digest.hexdigest()}))
+"""
+
+
+def test_kernel_bits_do_not_depend_on_the_blas_core_type():
+    # the moving and frozen kernels call only LAPACK's tridiagonal routines and
+    # elementwise NumPy: a run and a frozen period give the same bits under the
+    # default OpenBLAS core type and under the ones forced by OPENBLAS_CORETYPE
+    results = []
+    for core in (None, "Haswell", "Nehalem"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(Path(solver.__file__).parents[1])
+        if core is not None:
+            env["OPENBLAS_CORETYPE"] = core
+        out = subprocess.run([sys.executable, "-c", _CORE_TYPE_RUN], capture_output=True, text=True,
+                             check=True, env=env)
+        results.append(json.loads(out.stdout.splitlines()[-1]))
+    assert len({r["digest"] for r in results}) == 1, results
+    cores = [r["core"] for r in results]
+    if None not in cores and platform.machine() in ("x86_64", "AMD64"):
+        assert cores[1:] == ["Haswell", "Nehalem"], cores
+
+
 def _heun_step_own_terms(g, h, w, params, cfg, dt):
     """transform_step with each IMEX stage forming its own start-state terms and buffers."""
-    vg0, vh0 = solver._front_velocities(w[:, 1:-1], h - g, cfg.dxi, params.mu1, params.mu2)
+    vg0, vh0 = solver._front_velocities(w.reshape(-1)[1:-1], h - g, 1.0 / cfg.n, params.mu1, params.mu2)
     g1, h1 = g + dt * vg0, h + dt * vh0
     wp = imex_step(w, params, dt, h1 - g1, vg0, vh0)
-    vg1, vh1 = solver._front_velocities(wp[:, 1:-1], h1 - g1, cfg.dxi, params.mu1, params.mu2)
+    vg1, vh1 = solver._front_velocities(wp.reshape(-1)[1:-1], h1 - g1, 1.0 / cfg.n, params.mu1, params.mu2)
     g1, h1 = g + 0.5 * dt * (vg0 + vg1), h + 0.5 * dt * (vh0 + vh1)
     return g1, h1, imex_step(w, params, dt, h1 - g1, (g1 - g) / dt, (h1 - h) / dt)
 
@@ -444,6 +505,31 @@ def test_frozen_step_reports_an_indefinite_matrix(params_benchmark):
         solver.frozen_period_map(params_benchmark, 4.0, 32, -1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frozen_map_recovers_from_a_failed_period(params_benchmark):
+    # u overflows in the second of two steps, whose solve leaves the junction of the
+    # map's buffer 0 non-finite; the next call on the same map must equal a fresh map's
+    p, n = params_benchmark.with_(tau=2.0, a12=100.0, growth=LinearGrowth(p=1e10)), 32
+    period = solver.frozen_period_map(p, 30.0, n, 2)
+    huge = np.zeros((2, n + 1))
+    huge[0, 1:-1] = 1e297
+    with pytest.raises(NumericalError, match="u is no longer finite"):
+        period(huge)
+    w = np.zeros((2, n + 1))
+    w[:, 1:-1] = 1.0
+    image, samples = period(w, 1)
+    fresh, fresh_samples = solver.frozen_period_map(p, 30.0, n, 2)(w, 1)
+    assert np.array_equal(_bits(image), _bits(fresh))
+    for (_, got), (_, want) in zip(samples, fresh_samples, strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _flat(interior):
+    """The kernel's flat layout of an interior (u then v): u, the junction (+0.0, +0.0), v."""
+    u, v = interior.reshape(2, -1)
+    return np.concatenate([u, [0.0, 0.0], v])
+
+
 def _guarded_by_rows(w, interior):
     """The row-wise guards as the solver had them before the whole-vector test:
     the (2, n+1) densities of a solved interior, clipped or rejected per row."""
@@ -502,12 +588,12 @@ def test_guard_fast_path_matches_row_checks(drawn):
         expected = _guarded_by_rows(w, interior.copy())
     except NumericalError as exc:
         with pytest.raises(NumericalError) as got:
-            solver._guarded(w, interior.copy(), _GUARD_WORK)
+            solver._guarded(w, _flat(interior), _GUARD_WORK)
         assert str(got.value) == str(exc)
         return
-    guarded = solver._guarded(w, interior.copy(), _GUARD_WORK)
+    guarded = solver._guarded(w, _flat(interior), _GUARD_WORK)
     assert not expected[:, [0, -1]].any()
-    assert np.array_equal(guarded.view(np.uint64), expected[:, 1:-1].ravel().view(np.uint64))
+    assert np.array_equal(guarded.view(np.uint64), expected.ravel()[1:-1].view(np.uint64))
 
 
 def test_guard_blames_the_decay_step_only_for_its_own_row(params_benchmark):
@@ -515,9 +601,9 @@ def test_guard_blames_the_decay_step_only_for_its_own_row(params_benchmark):
     work = solver._Workspace(params_benchmark.with_(a11=3.0), 0.5, 4)
     w = np.ones((2, 5))
     with pytest.raises(ConfigurationError, match=r"dt\*a11=1\.5 >= 1; reduce dt via steps_per_period"):
-        solver._guarded(w, np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), work)
+        solver._guarded(w, _flat(np.array([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])), work)
     with pytest.raises(NumericalError, match="v undershoot -1.000e\\+00 exceeds the clip tolerance"):
-        solver._guarded(w, np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]), work)
+        solver._guarded(w, _flat(np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])), work)
 
 
 def test_frozen_steps_between_two_buffers_clip_like_the_moving_kernel(params_benchmark):
